@@ -7,14 +7,13 @@ optionally with row-skipping or slower-decay grid behavior), and with
 column reductions (truncation vs re-wrapping).
 """
 
-from ._kernels import BACKEND
 from .browse import (
     BrowsingModelSpec,
     attention,
     attention_base,
     attention_row_skip,
     attention_slow_decay,
-    continuation,
+    continuations,
 )
 from .core import (
     AlignmentTable,
@@ -22,7 +21,6 @@ from .core import (
     Ranking,
     RelevanceJudgments,
     UNKNOWN_GROUP,
-    alignment_matrix,
 )
 from .errors import (
     ConfigError,
@@ -34,7 +32,7 @@ from .errors import (
 )
 from .harness import RenderPlan, SweepConfig, compare_orderings, measure
 from .io import ResultsRow, RunFile, parse_alignment, parse_qrels, parse_run, write_results
-from .layout import GridLayout, LayoutGeometry, position, render, rewrap, truncate, wrap
+from .layout import GridLayout, LayoutGeometry, render, rewrap, truncate, wrap
 from .mc import simulate_row_skip
 from .metrics import (
     DistanceSpec,
@@ -53,7 +51,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlignmentTable",
-    "BACKEND",
     "BrowsingModelSpec",
     "ConfigError",
     "DistanceSpec",
@@ -74,7 +71,6 @@ __all__ = [
     "ShapeError",
     "SweepConfig",
     "UNKNOWN_GROUP",
-    "alignment_matrix",
     "attention",
     "attention_base",
     "attention_row_skip",
@@ -82,7 +78,7 @@ __all__ = [
     "awrf",
     "awrf_system",
     "compare_orderings",
-    "continuation",
+    "continuations",
     "eel",
     "greedy_rerank",
     "group_exposure",
@@ -91,7 +87,6 @@ __all__ = [
     "parse_qrels",
     "parse_run",
     "population_estimator",
-    "position",
     "render",
     "rewrap",
     "simulate_row_skip",

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .core import RelevanceJudgments
 from .errors import ShapeError
 from .layout import GridLayout
@@ -85,23 +84,13 @@ def resolve_cap(spec: BrowsingModelSpec, grades: np.ndarray) -> float:
     return top if top > 0 else 1.0
 
 
-def continuation(grade: float, spec: BrowsingModelSpec, cap: float | None = None) -> float:
-    """Probability of moving past an item with the given relevance grade.
+def continuations(grades: np.ndarray, spec: BrowsingModelSpec) -> np.ndarray:
+    """Probabilities of moving past items with the given relevance grades.
 
     Geometric browsing continues with constant probability alpha; cascade
     scales it down to alpha * (1 - satisfaction * normalized grade), so a
     maximally relevant item is the most likely stopping point.
     """
-    if spec.base == GEOMETRIC:
-        return spec.alpha
-    if cap is None:
-        cap = resolve_cap(spec, np.array([grade]))
-    capped = min(grade / cap, 1.0)
-    return spec.alpha * (1.0 - spec.satisfaction * capped)
-
-
-def continuations(grades: np.ndarray, spec: BrowsingModelSpec) -> np.ndarray:
-    """Vector of continuation probabilities for the given grades."""
     grades = np.asarray(grades, dtype=np.float64)
     if spec.base == GEOMETRIC:
         return np.full(grades.shape, spec.alpha)
@@ -119,13 +108,90 @@ def _grid_continuations(
     return continuations(grades, spec)
 
 
+def _base_weights(cont):
+    """w[i] = product of continuation over items strictly before rank i."""
+    n = cont.shape[0]
+    out = np.empty(n)
+    if n == 0:
+        return out
+    out[0] = 1.0
+    if n > 1:
+        np.cumprod(cont[:-1], out=out[1:])
+    np.clip(out, 0.0, 1.0, out=out)
+    return out
+
+
+def _row_skip_weights(cont, row_lengths, gamma, prefix):
+    """Row-skipping weights.
+
+    The probability of reaching row r is the chance the user either
+    scanned every earlier row to completion or skipped every earlier row;
+    the first row is always reached. Within a reached row, ``prefix``
+    multiplies in the continuations of the items already passed, while
+    full mode charges the whole row's product to every item in it.
+    """
+    n = cont.shape[0]
+    out = np.empty(n)
+    scan = 1.0
+    skip = 1.0
+    pos = 0
+    for r in range(row_lengths.shape[0]):
+        ln = int(row_lengths[r])
+        reach = 1.0 if r == 0 else scan + skip
+        row_prod = 1.0
+        if prefix:
+            w = 1.0
+            for j in range(ln):
+                out[pos + j] = reach * w
+                w *= cont[pos + j]
+            row_prod = w
+        else:
+            for j in range(ln):
+                row_prod *= cont[pos + j]
+            out[pos : pos + ln] = reach * row_prod
+        scan *= (1.0 - gamma) * row_prod
+        skip *= gamma
+        pos += ln
+    np.clip(out, 0.0, 1.0, out=out)
+    return out
+
+
+def _slow_decay_weights(cont, row_lengths, beta):
+    """min(beta**row x plain decayed weight, 1) per item.
+
+    Kept as one running product (boost and continuations interleaved in
+    reading order) so extreme inputs saturate instead of overflowing: a
+    huge boost against a vanishing tail clamps to 1, and a hard-zero
+    continuation zeroes everything after it.
+    """
+    n = cont.shape[0]
+    out = np.empty(n)
+    v = 1.0
+    pos = 0
+    for r in range(row_lengths.shape[0]):
+        if r > 0:
+            v *= beta
+        for j in range(row_lengths[r]):
+            val = v
+            if val > 1.0:
+                val = 1.0
+            if val < 0.0:
+                val = 0.0
+            out[pos + j] = val
+            v *= cont[pos + j]
+            if v != v:  # inf boost times zero continuation: the zero wins
+                v = 0.0
+        pos += row_lengths[r]
+    return out
+
+
 def attention_base(
     grid: GridLayout, rel: RelevanceJudgments | None, spec: BrowsingModelSpec
 ) -> np.ndarray:
     """Unadjusted attention: the product of continuations of everything
     read before each position (geometric reduces to alpha**rank)."""
     cont = _grid_continuations(grid, rel, spec)
-    return _kernels.base_weights(cont)
+    return _base_weights(cont)
 
 
 def attention_row_skip(
@@ -138,7 +204,7 @@ def attention_row_skip(
     prefix mode recovers the unadjusted model on any geometry.
     """
     cont = _grid_continuations(grid, rel, spec)
-    return _kernels.row_skip_weights(
+    return _row_skip_weights(
         cont, grid.row_lengths, spec.gamma, spec.within_row == "prefix"
     )
 
@@ -149,7 +215,7 @@ def attention_slow_decay(
     """Slower-decay attention: unadjusted weight boosted by beta**row,
     capped at 1. beta=1 recovers the unadjusted model exactly."""
     cont = _grid_continuations(grid, rel, spec)
-    return _kernels.slow_decay_weights(cont, grid.row_lengths, spec.beta)
+    return _slow_decay_weights(cont, grid.row_lengths, spec.beta)
 
 
 def attention(

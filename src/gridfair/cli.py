@@ -62,7 +62,6 @@ _CONFIG_KEYS = {
     "exclude_unknown",
     "per_request",
     "jobs",
-    "seed",
     "output",
 }
 
@@ -149,7 +148,6 @@ def _build_sweep_config(args) -> SweepConfig:
         exclude_unknown=bool(pick(args.exclude_unknown, "exclude_unknown", False)),
         per_request=bool(pick(args.per_request, "per_request", False)),
         jobs=int(pick(args.jobs, "jobs", 1)),
-        seed=int(pick(args.seed, "seed", 0)),
         output=pick(args.output, "output", None),
     )
     return config
@@ -318,8 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_meas.add_argument("--protected", help="protected group for the signed distance")
     p_meas.add_argument("--exclude-unknown", dest="exclude_unknown", action="store_const", const=True)
     p_meas.add_argument("--per-request", dest="per_request", action="store_const", const=True)
-    p_meas.add_argument("--seed", type=int)
-    p_meas.add_argument("--jobs", type=int)
+    p_meas.add_argument("--jobs", type=int, help="accepted for compatibility; the sweep runs serially")
     p_meas.add_argument("--output")
     p_meas.set_defaults(func=_cmd_measure)
 

@@ -156,12 +156,6 @@ class AlignmentTable:
         return np.stack([self.vector(doc) for doc in items])
 
 
-def alignment_matrix(items: Sequence[str], table: AlignmentTable) -> np.ndarray:
-    """Row i is the membership vector of ``items[i]``; absent items map to
-    the unknown group."""
-    return table.matrix(items)
-
-
 @dataclass(frozen=True)
 class RelevanceJudgments:
     """Graded relevance per (request, document); absent pairs read as 0."""

@@ -2,15 +2,13 @@
 
 A sweep evaluates every combination of system, layout plan, browsing
 model, and metric, producing one aggregate row per combination (and
-optionally per-request rows). Requests can be evaluated in a thread pool;
-results are buffered and sorted before writing, so the worker count never
-changes the output bytes.
+optionally per-request rows). Requests are evaluated one after another;
+results are buffered and sorted before writing.
 """
 
 from __future__ import annotations
 
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -107,8 +105,10 @@ class SweepConfig:
     protected: str | None = None
     exclude_unknown: bool = False
     per_request: bool = False
+    # Accepted and validated so existing ``--jobs`` callers keep working;
+    # the sweep always runs serially: its per-request work is GIL-bound
+    # Python, which threads do not speed up.
     jobs: int = 1
-    seed: int = 0
     output: str | None = None
 
     def validate(self) -> None:
@@ -341,12 +341,9 @@ def measure(config: SweepConfig) -> list[ResultsRow]:
     delta = config.distance()
     shared_target = resolve_shared_target(config.target, table)
 
-    tasks = [(ri, request) for ri, run in enumerate(runs) for request in run.requests()]
-
-    def work(task):
-        ri, request = task
-        return task, _evaluate_request(
-            runs[ri],
+    results = {
+        (ri, request): _evaluate_request(
+            run,
             request,
             plans,
             specs,
@@ -357,15 +354,9 @@ def measure(config: SweepConfig) -> list[ResultsRow]:
             delta,
             config.exclude_unknown,
         )
-
-    results: dict[tuple[int, str], dict] = {}
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            for task, values in pool.map(work, tasks):
-                results[task] = values
-    else:
-        for task in tasks:
-            results[task] = work(task)[1]
+        for ri, run in enumerate(runs)
+        for request in run.requests()
+    }
 
     rows: list[ResultsRow] = []
     for ri, run in enumerate(runs):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .core import AlignmentTable, GroupSchema, Ranking, RelevanceJudgments
-from .errors import ParseError
+from .errors import MetricError, ParseError
 
 RESULT_FIELDS = (
     "system",
@@ -62,7 +62,7 @@ class ResultsRow:
 
     def __post_init__(self):
         if not math.isfinite(self.value):
-            raise ValueError(f"non-finite metric value: {self.value}")
+            raise MetricError(f"non-finite metric value: {self.value}")
 
     def sort_key(self):
         return (
@@ -192,6 +192,8 @@ def parse_alignment(path) -> AlignmentTable:
             weight = float(weight_s)
         except ValueError:
             raise ParseError(path, lineno, f"weight {weight_s!r} is not a number")
+        if not math.isfinite(weight):
+            raise ParseError(path, lineno, f"non-finite membership weight {weight_s!r}")
         if weight < 0:
             raise ParseError(path, lineno, f"negative membership weight {weight}")
         groups.add(group)
@@ -226,6 +228,8 @@ def parse_qrels(path) -> RelevanceJudgments:
             grade = float(grade_s)
         except ValueError:
             raise ParseError(path, lineno, f"grade {grade_s!r} is not a number")
+        if not math.isfinite(grade):
+            raise ParseError(path, lineno, f"non-finite relevance grade {grade_s!r}")
         if grade < 0:
             raise ParseError(path, lineno, f"negative relevance grade {grade}")
         if (qid, docid) in grades:
@@ -296,6 +300,6 @@ def read_results(path) -> list[ResultsRow]:
                         value=float(record[11]),
                     )
                 )
-            except ValueError as exc:
+            except (ValueError, MetricError) as exc:
                 raise ParseError(path, lineno, str(exc))
     return rows

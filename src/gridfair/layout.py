@@ -141,10 +141,6 @@ def rewrap(grid: GridLayout, new_columns: int) -> GridLayout:
     return wrap(grid.origin, new_columns)
 
 
-def position(grid: GridLayout, doc: str) -> tuple[int, int, int] | None:
-    return grid.position(doc)
-
-
 def render(ranking: Ranking, geometry: LayoutGeometry) -> GridLayout:
     """Wrap a ranking according to a geometry description."""
     if geometry.kind == VERTICAL:

@@ -7,18 +7,58 @@ is visited when all rows above it were scanned in full or all were
 skipped, and every item to its left in its own row was continued past.
 
 The estimator is reproducible: uniforms are pre-drawn in chunks from a
-seeded generator and the same draws feed either compute backend.
+seeded generator, so a seed fixes the estimate.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import _kernels
 from .browse import BrowsingModelSpec, ROW_SKIP, _grid_continuations
 from .core import RelevanceJudgments
 from .errors import ShapeError
 from .layout import GridLayout
+
+
+def _mc_row_skip_counts(cont, row_lengths, gamma, skip_u, cont_u, visits):
+    """Accumulate visit counts for one chunk of sampled browsing sessions.
+
+    ``skip_u`` is (trajectories, rows) and ``cont_u`` (trajectories, items),
+    both uniform in [0, 1). A row is skipped when its draw falls below
+    gamma; an item is continued past when its draw falls below its
+    continuation probability. An item is visited when all earlier rows
+    were scanned fully or all were skipped, and every item before it in
+    its own row was continued past.
+    """
+    nrows = row_lengths.shape[0]
+    skipped = skip_u < gamma
+    continued = cont_u < cont[None, :]
+
+    starts = np.zeros(nrows, dtype=np.int64)
+    np.cumsum(row_lengths[:-1], out=starts[1:])
+
+    t = skip_u.shape[0]
+    row_full = np.empty((t, nrows), dtype=bool)
+    for r in range(nrows):
+        s, ln = starts[r], int(row_lengths[r])
+        row_full[:, r] = continued[:, s : s + ln].all(axis=1)
+    scanned_fully = ~skipped & row_full
+
+    all_scan = np.ones((t, nrows), dtype=bool)
+    all_skip = np.ones((t, nrows), dtype=bool)
+    if nrows > 1:
+        np.logical_and.accumulate(scanned_fully[:, :-1], axis=1, out=all_scan[:, 1:])
+        np.logical_and.accumulate(skipped[:, :-1], axis=1, out=all_skip[:, 1:])
+    reached = all_scan | all_skip
+
+    for r in range(nrows):
+        s, ln = starts[r], int(row_lengths[r])
+        seen = np.empty((t, ln), dtype=bool)
+        seen[:, 0] = True
+        if ln > 1:
+            np.logical_and.accumulate(continued[:, s : s + ln - 1], axis=1, out=seen[:, 1:])
+        seen &= reached[:, r : r + 1]
+        visits[s : s + ln] += seen.sum(axis=0)
 
 
 def simulate_row_skip(
@@ -48,7 +88,7 @@ def simulate_row_skip(
         t = min(chunk_size, remaining)
         skip_u = rng.random((t, grid.n_rows))
         cont_u = rng.random((t, n_items))
-        _kernels.mc_row_skip_counts(cont, lens, spec.gamma, skip_u, cont_u, visits)
+        _mc_row_skip_counts(cont, lens, spec.gamma, skip_u, cont_u, visits)
         remaining -= t
     est = visits / float(n_trajectories)
     stderr = np.sqrt(est * (1.0 - est) / float(n_trajectories))

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from gridfair import BrowsingModelSpec, ShapeError, attention, continuation, wrap
-from gridfair._kernels import BACKENDS, HAS_NUMBA
+from gridfair import BrowsingModelSpec, ShapeError, attention, continuations, wrap
 from gridfair.browse import (
     attention_base,
     attention_row_skip,
@@ -23,24 +22,25 @@ def random_grid(rng, max_n=50, max_c=10, n_min=1):
 
 class TestContinuation:
     def test_non_relevant_cascade_equals_alpha(self):
-        spec = BrowsingModelSpec(base="cascade", alpha=0.5)
-        assert continuation(0.0, spec, cap=1.0) == 0.5
+        spec = BrowsingModelSpec(base="cascade", alpha=0.5, relevance_cap=1.0)
+        assert continuations([0.0], spec).tolist() == [0.5]
 
     def test_fully_relevant_halves_at_default_satisfaction(self):
-        spec = BrowsingModelSpec(base="cascade", alpha=0.5, satisfaction=0.5)
-        assert continuation(1.0, spec, cap=1.0) == pytest.approx(0.25)
+        spec = BrowsingModelSpec(base="cascade", alpha=0.5, satisfaction=0.5, relevance_cap=1.0)
+        assert continuations([1.0], spec)[0] == pytest.approx(0.25)
 
     def test_zero_satisfaction_disables_relevance(self):
-        spec = BrowsingModelSpec(base="cascade", alpha=0.5, satisfaction=0.0)
-        assert continuation(1.0, spec, cap=1.0) == 0.5
+        spec = BrowsingModelSpec(base="cascade", alpha=0.5, satisfaction=0.0, relevance_cap=1.0)
+        assert continuations([1.0], spec).tolist() == [0.5]
 
     def test_geometric_ignores_grades(self):
-        spec = BrowsingModelSpec(base="geometric", alpha=0.3)
-        assert continuation(5.0, spec, cap=1.0) == 0.3
+        spec = BrowsingModelSpec(base="geometric", alpha=0.3, relevance_cap=1.0)
+        assert continuations([5.0], spec).tolist() == [0.3]
 
     def test_grades_above_cap_saturate(self):
-        spec = BrowsingModelSpec(base="cascade", alpha=0.5, satisfaction=1.0)
-        assert continuation(7.0, spec, cap=2.0) == continuation(2.0, spec, cap=2.0)
+        spec = BrowsingModelSpec(base="cascade", alpha=0.5, satisfaction=1.0, relevance_cap=2.0)
+        above, at = continuations([7.0, 2.0], spec)
+        assert above == at
 
 
 class TestBase:
@@ -221,30 +221,3 @@ class TestDispatchAndSpec:
         grid = wrap(make_ranking(1), 1)
         cut = grid
         assert attention(cut, None, GEO).shape == (1,)
-
-
-@pytest.mark.skipif(not HAS_NUMBA, reason="needs both backends")
-class TestBackendAgreement:
-    def test_all_kernels_identical(self):
-        rng = np.random.default_rng(6)
-        for _ in range(25):
-            n = int(rng.integers(1, 60))
-            lens = []
-            left = n
-            while left > 0:
-                ln = int(rng.integers(1, min(left, 8) + 1))
-                lens.append(ln)
-                left -= ln
-            lens = np.array(lens, dtype=np.int64)
-            cont = rng.uniform(0.05, 0.95, size=n)
-            gamma = float(rng.uniform(0, 1))
-            beta = float(rng.uniform(1.0, 2.0))
-            for name, args in [
-                ("base_weights", (cont,)),
-                ("row_skip_weights", (cont, lens, gamma, True)),
-                ("row_skip_weights", (cont, lens, gamma, False)),
-                ("slow_decay_weights", (cont, lens, beta)),
-            ]:
-                out_np = BACKENDS["numpy"][name](*args)
-                out_nb = BACKENDS["numba"][name](*args)
-                np.testing.assert_array_equal(out_np, out_nb)

@@ -226,6 +226,39 @@ class TestMeasureCommand:
         config.write_text("swep_typo: 1\n", encoding="utf-8")
         assert main(["measure", "--config", str(config)]) == 1
 
+    def test_seed_config_key_rejected(self, inputs, tmp_path, capsys):
+        config = tmp_path / "sweep.yaml"
+        config.write_text("seed: 3\n", encoding="utf-8")
+        assert main(["measure", "--config", str(config)]) == 1
+        assert "unknown config keys: ['seed']" in capsys.readouterr().err
+
+    def test_zero_jobs_is_config_error(self, inputs, tmp_path, capsys):
+        out = tmp_path / "res.csv"
+        assert main(self.base_args(inputs, out, ("--jobs", "0"))) == 1
+        assert "jobs must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_grade_is_parse_error(self, inputs, tmp_path, capsys):
+        _, _, _, qrels = inputs
+        lineno = len(qrels.read_text().splitlines()) + 1
+        with open(qrels, "a", encoding="utf-8") as handle:
+            handle.write("q0 0 d1 nan\n")
+        out = tmp_path / "res.csv"
+        args = self.base_args(
+            inputs, out, ("--model", "cascade", "--qrels", str(qrels))
+        )
+        assert main(args) == 2
+        assert f"{qrels}:{lineno}: non-finite relevance grade" in capsys.readouterr().err
+
+    def test_non_finite_alignment_weight_is_parse_error(self, inputs, tmp_path, capsys):
+        _, _, alignment, _ = inputs
+        lineno = len(alignment.read_text().splitlines()) + 1
+        with open(alignment, "a", encoding="utf-8") as handle:
+            handle.write("d0\tA\tinf\n")
+        out = tmp_path / "res.csv"
+        assert main(self.base_args(inputs, out)) == 2
+        assert f"{alignment}:{lineno}: non-finite membership weight" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "preset,expected_rows",
         [
@@ -499,6 +532,13 @@ class TestCompareCommand:
 
     def test_missing_results_file(self, tmp_path):
         assert main(["compare", "--results", str(tmp_path / "nope.csv")]) == 2
+
+    def test_non_finite_value_is_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "results.csv"
+        write_results(self.rows_for({("vertical-linear", 1): {"s1": 0.1, "s2": 0.2}}), path)
+        path.write_text(path.read_text().replace(",0.2\n", ",nan\n"), encoding="utf-8")
+        assert main(["compare", "--results", str(path)]) == 2
+        assert f"{path}:3: non-finite metric value" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_is_usage_error():

@@ -7,7 +7,6 @@ from gridfair import (
     Ranking,
     RelevanceJudgments,
     ShapeError,
-    alignment_matrix,
 )
 from gridfair.core import normalize_weights
 
@@ -58,19 +57,19 @@ class TestNormalizeWeights:
 class TestAlignmentTable:
     def test_single_known_document(self):
         table = make_table({"d1": "a"}, groups=["a", "b"])
-        mat = alignment_matrix(["d1"], table)
+        mat = table.matrix(["d1"])
         assert mat.tolist() == [[1.0, 0.0, 0.0]]
 
     def test_missing_document_maps_to_unknown(self):
         table = make_table({}, groups=["a", "b"])
-        mat = alignment_matrix(["d_missing"], table)
+        mat = table.matrix(["d_missing"])
         assert mat.tolist() == [[0.0, 0.0, 1.0]]
 
     def test_mixed_membership_passthrough(self):
         table = make_table(
             {"d1": [0.5, 0.5, 0.0], "d2": [0.0, 1.0, 0.0]}, groups=["a", "b"]
         )
-        mat = alignment_matrix(["d1", "d2"], table)
+        mat = table.matrix(["d1", "d2"])
         assert mat.tolist() == [[0.5, 0.5, 0.0], [0.0, 1.0, 0.0]]
 
     def test_lookup_is_total(self):

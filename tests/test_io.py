@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gridfair import ParseError, Ranking, ResultsRow, parse_alignment, parse_qrels, parse_run
+from gridfair import MetricError, ParseError, Ranking, ResultsRow, parse_alignment, parse_qrels, parse_run
 from gridfair.io import read_results, write_results, write_run
 
 
@@ -199,8 +199,16 @@ class TestResults:
         assert {r.value for r in back} == {0.125, 2.5}
 
     def test_non_finite_value_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(MetricError):
             sample_row(value=float("nan"))
+
+    def test_non_finite_value_in_file_names_line(self, tmp_path):
+        path = tmp_path / "r.csv"
+        write_results([sample_row(value=0.125), sample_row(metric="eel", value=2.5)], path)
+        path.write_text(path.read_text().replace(",2.5\n", ",inf\n"))
+        with pytest.raises(ParseError) as info:
+            read_results(path)
+        assert info.value.line == 3
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "r.csv"

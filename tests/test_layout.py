@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gridfair import LayoutError, LayoutGeometry, position, render, rewrap, truncate, wrap
+from gridfair import LayoutError, LayoutGeometry, render, rewrap, truncate, wrap
 from gridfair.layout import HORIZONTAL, VERTICAL, WRAPPED_GRID
 
 from util import make_ranking
@@ -109,18 +109,18 @@ class TestRewrap:
 class TestPosition:
     def test_square_grid(self):
         grid = wrap(make_ranking(4), 2)
-        assert position(grid, "d3") == (1, 1, 3)
+        assert grid.position("d3") == (1, 1, 3)
 
     def test_dropped_item_absent(self):
         cut = truncate(wrap(make_ranking(6), 3), 2)
-        assert position(cut, "d2") is None
+        assert cut.position("d2") is None
 
     def test_unknown_item_absent(self):
-        assert position(wrap(make_ranking(4), 2), "nope") is None
+        assert wrap(make_ranking(4), 2).position("nope") is None
 
     def test_ragged_row(self):
         grid = wrap(make_ranking(5), 2)
-        assert position(grid, "d4") == (2, 0, 4)
+        assert grid.position("d4") == (2, 0, 4)
 
 
 class TestGeometry:

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from gridfair import BrowsingModelSpec, ShapeError, simulate_row_skip, wrap
-from gridfair._kernels import BACKENDS, HAS_NUMBA
 from gridfair.browse import attention_row_skip
 
 from util import make_ranking
@@ -50,19 +49,3 @@ class TestSimulator:
                 100,
                 seed=0,
             )
-
-
-@pytest.mark.skipif(not HAS_NUMBA, reason="needs both backends")
-def test_backends_count_identically():
-    rng = np.random.default_rng(13)
-    lens = np.array([3, 2, 3], dtype=np.int64)
-    n = int(lens.sum())
-    cont = rng.uniform(0.2, 0.8, size=n)
-    skip_u = rng.random((5_000, len(lens)))
-    cont_u = rng.random((5_000, n))
-    counts = {}
-    for name in ("numpy", "numba"):
-        visits = np.zeros(n, dtype=np.int64)
-        BACKENDS[name]["mc_row_skip_counts"](cont, lens, 0.4, skip_u, cont_u, visits)
-        counts[name] = visits
-    np.testing.assert_array_equal(counts["numpy"], counts["numba"])

@@ -99,10 +99,15 @@ def continuations(grades: np.ndarray, spec: BrowsingModelSpec) -> np.ndarray:
     return spec.alpha * (1.0 - spec.satisfaction * capped)
 
 
+def shape_only(spec: BrowsingModelSpec, rel: RelevanceJudgments | None) -> bool:
+    """True when the weights depend on the layout alone, not on grades."""
+    return spec.base == GEOMETRIC or rel is None
+
+
 def _grid_continuations(
     grid: GridLayout, rel: RelevanceJudgments | None, spec: BrowsingModelSpec
 ) -> np.ndarray:
-    if spec.base == GEOMETRIC or rel is None:
+    if shape_only(spec, rel):
         return np.full(grid.n_displayed, spec.alpha)
     grades = rel.grades(grid.origin.request, grid.items)
     return continuations(grades, spec)
@@ -218,12 +223,20 @@ def attention_slow_decay(
     return _slow_decay_weights(cont, grid.row_lengths, spec.beta)
 
 
+def position_weights(
+    cont: np.ndarray, row_lengths: np.ndarray, spec: BrowsingModelSpec
+) -> np.ndarray:
+    """Attention weights from the continuations of the displayed items (in
+    reading order) and the lengths of the rows they fill."""
+    if spec.adjustment == ROW_SKIP:
+        return _row_skip_weights(cont, row_lengths, spec.gamma, spec.within_row == "prefix")
+    if spec.adjustment == SLOW_DECAY:
+        return _slow_decay_weights(cont, row_lengths, spec.beta)
+    return _base_weights(cont)
+
+
 def attention(
     grid: GridLayout, rel: RelevanceJudgments | None, spec: BrowsingModelSpec
 ) -> np.ndarray:
     """Attention weights of the displayed items, in reading order."""
-    if spec.adjustment == ROW_SKIP:
-        return attention_row_skip(grid, rel, spec)
-    if spec.adjustment == SLOW_DECAY:
-        return attention_slow_decay(grid, rel, spec)
-    return attention_base(grid, rel, spec)
+    return position_weights(_grid_continuations(grid, rel, spec), grid.row_lengths, spec)

@@ -114,46 +114,74 @@ class Ranking:
 class AlignmentTable:
     """Total map from document id to its group-membership vector.
 
-    Lookups of documents that were never labeled yield the unknown-group
-    unit vector, so the table can be applied to any ranking.
+    Vectors are rows of one read-only matrix whose last row is the
+    unknown-group unit vector: documents that were never labeled map to
+    it, so the table can be applied to any ranking.
     """
 
     schema: GroupSchema
-    _vectors: Mapping[str, np.ndarray] = field(default_factory=dict)
+    _rows: Mapping[str, int]
+    _matrix: np.ndarray
 
     @classmethod
     def from_weights(
         cls, schema: GroupSchema, weights: Mapping[str, Sequence[float]]
     ) -> "AlignmentTable":
-        vectors = {}
-        for doc, raw in weights.items():
-            vec = normalize_weights(raw)
+        """Validate and normalize every vector at once.
+
+        A failing check raises the error :func:`normalize_weights` (or the
+        width check) gives for the first offending document in input order.
+        """
+        docs = list(weights)
+        try:
+            raw = np.asarray(list(weights.values()), dtype=np.float64)
+        except (TypeError, ValueError):  # ragged or non-numeric vectors
+            raw = None
+        if raw is None or raw.shape != (len(docs), schema.size):
+            bad = docs
+        else:
+            total = raw.sum(axis=1)
+            invalid = (
+                ~np.isfinite(raw).all(axis=1)
+                | (raw < 0.0).any(axis=1)
+                | (raw > 1.0).any(axis=1)
+                | (np.abs(total - 1.0) > NORMALIZE_TOLERANCE)
+            )
+            bad = [docs[i] for i in np.flatnonzero(invalid)]
+        for doc in bad:
+            vec = normalize_weights(weights[doc])
             if vec.size != schema.size:
                 raise ShapeError(
                     f"alignment vector for {doc!r} has {vec.size} entries, "
                     f"schema has {schema.size} groups"
                 )
-            vectors[doc] = vec
-        return cls(schema, vectors)
+        matrix = np.empty((len(docs) + 1, schema.size))
+        if docs:
+            np.divide(raw, total[:, None], out=matrix[:-1])
+        matrix[-1] = schema.unknown_vector()
+        matrix.flags.writeable = False
+        return cls(schema, {doc: i for i, doc in enumerate(docs)}, matrix)
 
     def __contains__(self, doc: str) -> bool:
-        return doc in self._vectors
+        return doc in self._rows
 
     def __len__(self) -> int:
-        return len(self._vectors)
+        return len(self._rows)
 
     def documents(self) -> tuple[str, ...]:
-        return tuple(self._vectors)
+        return tuple(self._rows)
 
     def vector(self, doc: str) -> np.ndarray:
-        got = self._vectors.get(doc)
-        return got if got is not None else self.schema.unknown_vector()
+        return self._matrix[self._rows.get(doc, -1)]
 
     def matrix(self, items: Sequence[str]) -> np.ndarray:
         """Membership matrix (one row per item, one column per group)."""
-        if not items:
-            return np.zeros((0, self.schema.size))
-        return np.stack([self.vector(doc) for doc in items])
+        rows = self._rows
+        unknown = len(rows)
+        index = np.fromiter(
+            (rows.get(doc, unknown) for doc in items), dtype=np.intp, count=len(items)
+        )
+        return self._matrix[index]
 
 
 @dataclass(frozen=True)

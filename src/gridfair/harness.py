@@ -2,8 +2,11 @@
 
 A sweep evaluates every combination of system, layout plan, browsing
 model, and metric, producing one aggregate row per combination (and
-optionally per-request rows). Requests are evaluated one after another;
-results are buffered and sorted before writing.
+optionally per-request rows). Requests are evaluated one after another
+from arrays built once per request (the union of its sampled documents,
+their grades and membership rows) and once per sweep (layout shapes and
+grade-free attention weights); results are buffered and sorted before
+writing.
 """
 
 from __future__ import annotations
@@ -22,9 +25,12 @@ from .browse import (
     SLOW_DECAY,
     BrowsingModelSpec,
     attention,
+    continuations,
+    position_weights,
+    shape_only,
 )
 from .core import AlignmentTable, Ranking, RelevanceJudgments
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, MetricError, ParseError
 from .io import ResultsRow, RunFile, parse_alignment, parse_qrels, parse_run, write_results
 from .layout import (
     GEOMETRY_KINDS,
@@ -45,9 +51,11 @@ from .metrics import (
     awrf_system,
     drop_unknown,
     eel,
+    grade_tiers,
     group_exposure,
     population_estimator,
-    target_exposure,
+    target_exposure,  # unused by the sweep; perfbench/tracer.py wraps this name
+    tier_means,
 )
 
 REDUCTIONS = ("truncate", "rewrap")
@@ -130,6 +138,9 @@ class SweepConfig:
         for adj in self.adjustments:
             if adj not in ADJUSTMENTS:
                 raise ConfigError(f"unknown adjustment {adj!r}")
+        narrow = [c for c in self.columns if c < 1]
+        if narrow:
+            raise ConfigError(f"column sizes must be at least 1, got {narrow}")
         if self.reductions:
             if self.base_columns < 1:
                 raise ConfigError("base grid width must be positive")
@@ -268,49 +279,150 @@ def resolve_shared_target(target: str, table: AlignmentTable) -> np.ndarray | No
     return population_estimator(PopulationEstimator(mode), table)
 
 
+@dataclass(frozen=True)
+class _Shape:
+    """Where a plan puts every ranking of ``length`` items: the 0-based ranks
+    it displays, in reading order, and the lengths of the rows they fill."""
+
+    length: int
+    displayed: np.ndarray
+    row_lengths: np.ndarray
+
+
+class _SweepArrays:
+    """Layout shapes and grade-free attention weights of one sweep.
+
+    A plan places items by rank alone, so all rankings of one length share
+    a shape, and weights that ignore grades are shared by every ranking of
+    that shape, system output and ideal alike.
+    """
+
+    def __init__(
+        self,
+        plans: Sequence[RenderPlan],
+        specs: Sequence[BrowsingModelSpec],
+        rel: RelevanceJudgments | None,
+    ):
+        self.plans = plans
+        self.specs = specs
+        self.rel = rel
+        self._shapes: dict[tuple[int, int], _Shape] = {}
+        self._weights: dict[tuple[int, int, int], np.ndarray] = {}
+
+    def shape(self, pi: int, length: int) -> _Shape:
+        """Shape of plan ``pi``, found by rendering a synthetic ranking."""
+        shape = self._shapes.get((pi, length))
+        if shape is None:
+            synthetic = Ranking("synthetic", 0, tuple(str(i) for i in range(length)))
+            grid = self.plans[pi].render(synthetic)
+            displayed = np.array([int(doc) for doc in grid.items], dtype=np.intp)
+            shape = _Shape(length, displayed, grid.row_lengths)
+            self._shapes[(pi, length)] = shape
+        return shape
+
+    def weights(self, pi: int, si: int, shape: _Shape, grades: np.ndarray) -> np.ndarray:
+        """Attention on the displayed slots of a shape under spec ``si``;
+        ``grades`` are those of the displayed items, in reading order."""
+        spec = self.specs[si]
+        if not shape_only(spec, self.rel):
+            return position_weights(continuations(grades, spec), shape.row_lengths, spec)
+        key = (pi, si, shape.length)
+        weights = self._weights.get(key)
+        if weights is None:
+            cont = np.full(len(shape.displayed), spec.alpha)
+            weights = position_weights(cont, shape.row_lengths, spec)
+            weights.flags.writeable = False
+            self._weights[key] = weights
+        return weights
+
+
+def _plan_label(plan: RenderPlan) -> str:
+    if plan.reduction != "none":
+        return f"{plan.geometry}:{plan.columns} ({plan.reduction} from {plan.base_columns})"
+    if plan.geometry == WRAPPED_GRID:
+        return f"{plan.geometry}:{plan.columns}"
+    return plan.geometry
+
+
+def _spec_label(spec: BrowsingModelSpec) -> str:
+    return (
+        f"{spec.base}/{spec.adjustment} alpha={spec.alpha:g} "
+        f"gamma={spec.gamma:g} beta={spec.beta:g}"
+    )
+
+
 def _evaluate_request(
     run: RunFile,
     request: str,
-    plans: Sequence[RenderPlan],
-    specs: Sequence[BrowsingModelSpec],
     metrics: Sequence[str],
     table: AlignmentTable,
     rel: RelevanceJudgments | None,
     shared_target: np.ndarray | None,
     delta: DistanceSpec,
     exclude_unknown: bool,
+    arrays: _SweepArrays,
 ) -> dict[tuple[int, int, str], float]:
     rankings = run.rankings[request]
-    union_docs = sorted({doc for ranking in rankings for doc in ranking.items})
+    union = sorted({doc for ranking in rankings for doc in ranking.items})
     if shared_target is None:
-        tgt = population_estimator(PopulationEstimator("retrieved"), table, union_docs)
+        tgt = population_estimator(PopulationEstimator("retrieved"), table, union)
     else:
         tgt = shared_target
+    slot_of = {doc: i for i, doc in enumerate(union)}
+    positions = [
+        np.array([slot_of[doc] for doc in ranking.items], dtype=np.intp)
+        for ranking in rankings
+    ]
+    members = table.matrix(union)
+    # Without judgments every weight is grade-free and the grades go unused.
+    grades = rel.grades(request, union) if rel is not None else np.zeros(len(union))
+    if "eel" in metrics:
+        # The ideal policy orders by (-grade, doc); the union is in doc order.
+        best_first = np.argsort(-grades, kind="stable")
+        ideal_grades = grades[best_first]
+        ideal_members = members[best_first]
+        tiers = grade_tiers(ideal_grades)
     out: dict[tuple[int, int, str], float] = {}
-    for pi, plan in enumerate(plans):
-        grids = [plan.render(r) for r in rankings]
-        matrices = [table.matrix(g.items) for g in grids]
-        for si, spec in enumerate(specs):
-            exposures = [
-                group_exposure(attention(grid, rel, spec), mat)
-                for grid, mat in zip(grids, matrices)
-            ]
-            if "awrf" in metrics:
-                scores = [
-                    awrf(expo, tgt, delta, table.schema, exclude_unknown)
-                    for expo in exposures
+    for pi, plan in enumerate(arrays.plans):
+        shown = []
+        for pos in positions:
+            shape = arrays.shape(pi, len(pos))
+            docs = pos[shape.displayed]
+            shown.append((shape, grades[docs], members[docs]))
+        if "eel" in metrics:
+            ideal_shape = arrays.shape(pi, len(union))
+            ideal_shown = ideal_grades[ideal_shape.displayed]
+        for si, spec in enumerate(arrays.specs):
+            try:
+                exposures = [
+                    group_exposure(arrays.weights(pi, si, shape, shown_grades), mat)
+                    for shape, shown_grades, mat in shown
                 ]
-                out[(pi, si, "awrf")] = awrf_system(scores)
-            if "eel" in metrics:
-                system = exposures[0].copy()
-                for expo in exposures[1:]:
-                    system += expo
-                system /= len(exposures)
-                ideal = target_exposure(request, union_docs, rel, plan.render, spec, table)
-                if exclude_unknown:
-                    system = drop_unknown(system, table.schema)
-                    ideal = drop_unknown(ideal, table.schema)
-                out[(pi, si, "eel")] = eel(system, ideal)
+                if "awrf" in metrics:
+                    scores = [
+                        awrf(expo, tgt, delta, table.schema, exclude_unknown)
+                        for expo in exposures
+                    ]
+                    out[(pi, si, "awrf")] = awrf_system(scores)
+                if "eel" in metrics:
+                    system = exposures[0].copy()
+                    for expo in exposures[1:]:
+                        system += expo
+                    system /= len(exposures)
+                    slot_weight = np.zeros(len(union))
+                    slot_weight[ideal_shape.displayed] = arrays.weights(
+                        pi, si, ideal_shape, ideal_shown
+                    )
+                    ideal = ideal_members.T @ tier_means(slot_weight, tiers)
+                    if exclude_unknown:
+                        system = drop_unknown(system, table.schema)
+                        ideal = drop_unknown(ideal, table.schema)
+                    out[(pi, si, "eel")] = eel(system, ideal)
+            except MetricError as exc:
+                raise MetricError(
+                    f"system {run.system!r}, request {request!r}, plan "
+                    f"{_plan_label(plan)}, spec {_spec_label(spec)}: {exc}"
+                ) from exc
     return out
 
 
@@ -341,18 +453,18 @@ def measure(config: SweepConfig) -> list[ResultsRow]:
     delta = config.distance()
     shared_target = resolve_shared_target(config.target, table)
 
+    arrays = _SweepArrays(plans, specs, rel)
     results = {
         (ri, request): _evaluate_request(
             run,
             request,
-            plans,
-            specs,
             metrics,
             table,
             rel,
             shared_target,
             delta,
             config.exclude_unknown,
+            arrays,
         )
         for ri, run in enumerate(runs)
         for request in run.requests()

@@ -215,13 +215,24 @@ def target_exposure(
         pos = grid.position(doc)
         if pos is not None:
             slot_weight[i] = weights[pos[2]]
-    per_doc = np.empty(len(ordered))
-    start = 0
-    for i in range(1, len(ordered) + 1):
-        if i == len(ordered) or grades[ordered[i]] != grades[ordered[start]]:
-            per_doc[start:i] = slot_weight[start:i].mean()
-            start = i
-    return table.matrix(ordered).T @ per_doc
+    tiers = grade_tiers(np.array([grades[d] for d in ordered]))
+    return table.matrix(ordered).T @ tier_means(slot_weight, tiers)
+
+
+def grade_tiers(grades: np.ndarray) -> list[tuple[int, int]]:
+    """(start, end) of each run of equal grades in a best-first order."""
+    cuts = np.flatnonzero(grades[1:] != grades[:-1]) + 1
+    edges = [0, *cuts.tolist(), len(grades)]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def tier_means(slot_weight: np.ndarray, tiers: Sequence[tuple[int, int]]) -> np.ndarray:
+    """Per-document ideal attention: every document of a grade tier gets
+    the mean weight of the tier's slots (hidden slots weigh zero)."""
+    per_doc = np.empty(len(slot_weight))
+    for start, end in tiers:
+        per_doc[start:end] = slot_weight[start:end].mean()
+    return per_doc
 
 
 def system_exposure(

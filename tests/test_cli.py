@@ -238,6 +238,40 @@ class TestMeasureCommand:
         assert "jobs must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_zero_column_size_is_config_error_before_parsing(self, inputs, tmp_path, capsys):
+        out = tmp_path / "res.csv"
+        args = self.base_args(inputs, out, ("--reduction", "truncate"))
+        args[args.index("--columns") + 1] = "0,3"
+        # a missing input would exit 2, so exit 1 shows nothing was parsed
+        args[args.index("--alignment") + 1] = str(tmp_path / "missing.tsv")
+        assert main(args) == 1
+        assert "column sizes must be at least 1, got [0]" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_metric_error_names_system_request_plan_and_spec(self, tmp_path, capsys):
+        run = tmp_path / "a.run"
+        run.write_text(
+            "q1 0 d1 0 2.0 sysA\nq1 0 d2 1 1.0 sysA\nq2 0 dX 0 1.0 sysA\n",
+            encoding="utf-8",
+        )
+        alignment = tmp_path / "align.tsv"
+        alignment.write_text("d1\tA\t1.0\nd2\tB\t1.0\n", encoding="utf-8")
+        out = tmp_path / "res.csv"
+        code = main(
+            [
+                "measure", "--run", str(run), "--alignment", str(alignment),
+                "--geometry", "vertical-linear", "--exclude-unknown",
+                "--output", str(out),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: system 'sysA', request 'q2', plan vertical-linear, "
+            "spec geometric/none alpha=0.5 gamma=0.5 beta=1.9: "
+            "undefined exposure: no group received any attention\n"
+        )
+        assert not out.exists()
+
     def test_non_finite_grade_is_parse_error(self, inputs, tmp_path, capsys):
         _, _, _, qrels = inputs
         lineno = len(qrels.read_text().splitlines()) + 1

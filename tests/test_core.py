@@ -94,6 +94,61 @@ class TestAlignmentTable:
         with pytest.raises(ShapeError):
             AlignmentTable.from_weights(schema, {"d1": [1.0, 0.0]})
 
+    def test_rows_equal_per_document_normalization(self):
+        rng = np.random.default_rng(11)
+        raw = rng.uniform(0, 1, size=(50, 5))
+        raw /= raw.sum(axis=1, keepdims=True)
+        raw[::7, 0] += 4e-7  # within tolerance: renormalized, not rejected
+        weights = {f"d{i}": raw[i].tolist() for i in range(50)}
+        table = AlignmentTable.from_weights(GroupSchema.from_groups("abcd"), weights)
+        for doc, vec in weights.items():
+            assert table.vector(doc).tobytes() == normalize_weights(vec).tobytes()
+        assert table.matrix(list(weights)).tobytes() == np.stack(
+            [normalize_weights(vec) for vec in weights.values()]
+        ).tobytes()
+
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            ([0.5, 0.6, 0.0], "membership weights sum to"),
+            ([-0.1, 1.1, 0.0], "membership weights must lie in [0, 1]"),
+            ([float("nan"), 1.0, 0.0], "membership weights must be finite"),
+            ([1.0, 0.0], "alignment vector for 'd2' has 2 entries, schema has 3 groups"),
+            ([], "membership weights must be a non-empty 1-d vector"),
+        ],
+        ids=["sum", "range", "finite", "width", "empty"],
+    )
+    def test_first_offending_document_is_reported(self, bad, message):
+        schema = GroupSchema.from_groups(["a", "b"])
+        weights = {
+            "d0": [1.0, 0.0, 0.0],
+            "d1": [0.0, 1.0, 0.0],
+            "d2": bad,
+            "d3": [0.2, 0.2, 0.2],  # also invalid, but later in input order
+            "d4": [1.0, 0.0],
+        }
+        try:  # what checking d2 alone reports
+            normalize_weights(bad)
+            alone = f"alignment vector for 'd2' has {len(bad)} entries, schema has 3 groups"
+        except ShapeError as exc:
+            alone = str(exc)
+        with pytest.raises(ShapeError) as caught:
+            AlignmentTable.from_weights(schema, weights)
+        assert str(caught.value) == alone
+        assert message in alone
+
+    def test_matrix_is_one_read_only_table(self):
+        table = make_table({"d1": "a", "d2": "b"})
+        assert len(table) == 2 and "d1" in table and "d3" not in table
+        assert table.documents() == ("d1", "d2")
+        assert not table.vector("d1").flags.writeable
+        assert not table.vector("absent").flags.writeable
+        assert table.matrix([]).shape == (0, 3)
+        gathered = table.matrix(["d2", "absent", "d1"])
+        assert gathered.tolist() == [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]
+        gathered[0, 0] = 5.0  # a gather is a copy
+        assert table.vector("d2").tolist() == [0.0, 1.0, 0.0]
+
 
 class TestRanking:
     def test_duplicate_items_rejected(self):

@@ -1,0 +1,72 @@
+"""Golden digests: the results CSV of a small seeded sweep is pinned byte
+for byte.
+
+The fixture is generated with the standard library's seeded ``random``, so
+its bytes do not depend on the numpy version. Each committed config runs
+with its own axes plus ``--per-request``. The digests were produced by the
+per-ranking sweep that came before the shared per-request arrays; any
+change to a printed value, row or format changes them.
+"""
+
+import hashlib
+import random
+from pathlib import Path
+
+import pytest
+
+from gridfair.cli import main
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+GOLDEN = {
+    "column-reduction.yaml": "f207e47cfb49bb539a51d0f20870f97536c37db76a9d3ef6d86e9f4e81a32937",
+    "layout-comparison.yaml": "cc698fa43837e15e62d40a7e1e2826aac081a002de7f9d736e27974809bd5432",
+}
+
+
+def write_fixture(root: Path, seed: int = 20231):
+    """300 documents in three groups (some mixed, ~10 % unlabeled), two
+    systems x 6 requests x 3 samples of 12-20 items, 15 graded judgments
+    (0-3) per request."""
+    rng = random.Random(seed)
+    docs = [f"doc{i:03d}" for i in range(300)]
+    alignment = []
+    for doc in docs:
+        roll = rng.random()
+        if roll < 0.1:
+            continue
+        if roll < 0.3:
+            alignment += [f"{doc}\tA\t0.3", f"{doc}\tC\t0.7"]
+        else:
+            alignment.append(f"{doc}\t{rng.choice('AABBC')}\t1")
+    runs = []
+    for system in ("sysA", "sysB"):
+        lines = []
+        for q in range(6):
+            pool = rng.sample(docs, 40)
+            for sample in range(3):
+                items = rng.sample(pool, rng.randint(12, 20))
+                lines += [
+                    f"q{q} {sample} {doc} {rank} {len(items) - rank} {system}"
+                    for rank, doc in enumerate(items)
+                ]
+        path = root / f"{system}.run"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        runs.append(path)
+    qrels = [
+        f"q{q} 0 {doc} {rng.randint(0, 3)}" for q in range(6) for doc in rng.sample(docs, 15)
+    ]
+    (root / "alignment.tsv").write_text("\n".join(alignment) + "\n", encoding="utf-8")
+    (root / "qrels.txt").write_text("\n".join(qrels) + "\n", encoding="utf-8")
+    return runs, root / "alignment.tsv", root / "qrels.txt"
+
+
+@pytest.mark.parametrize("config", sorted(GOLDEN))
+def test_results_csv_is_byte_identical(config, tmp_path):
+    runs, alignment, qrels = write_fixture(tmp_path)
+    out = tmp_path / "results.csv"
+    argv = ["measure", "--config", str(CONFIGS / config), "--per-request"]
+    for run in runs:
+        argv += ["--run", str(run)]
+    argv += ["--alignment", str(alignment), "--qrels", str(qrels), "--output", str(out)]
+    assert main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[config]

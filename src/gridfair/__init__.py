@@ -7,14 +7,7 @@ optionally with row-skipping or slower-decay grid behavior), and with
 column reductions (truncation vs re-wrapping).
 """
 
-from .browse import (
-    BrowsingModelSpec,
-    attention,
-    attention_base,
-    attention_row_skip,
-    attention_slow_decay,
-    continuations,
-)
+from .browse import BrowsingModelSpec, attention, continuations
 from .core import (
     AlignmentTable,
     GroupSchema,
@@ -30,9 +23,9 @@ from .errors import (
     ParseError,
     ShapeError,
 )
-from .harness import RenderPlan, SweepConfig, compare_orderings, measure
+from .harness import SweepConfig, compare_orderings, measure
 from .io import ResultsRow, RunFile, parse_alignment, parse_qrels, parse_run, write_results
-from .layout import GridLayout, LayoutGeometry, render, rewrap, truncate, wrap
+from .layout import GridLayout, RenderPlan, render, rewrap, truncate, wrap
 from .mc import simulate_row_skip
 from .metrics import (
     DistanceSpec,
@@ -58,7 +51,6 @@ __all__ = [
     "GridfairError",
     "GroupSchema",
     "LayoutError",
-    "LayoutGeometry",
     "MetricError",
     "ParseError",
     "PopulationEstimator",
@@ -72,9 +64,6 @@ __all__ = [
     "SweepConfig",
     "UNKNOWN_GROUP",
     "attention",
-    "attention_base",
-    "attention_row_skip",
-    "attention_slow_decay",
     "awrf",
     "awrf_system",
     "compare_orderings",

@@ -190,39 +190,6 @@ def _slow_decay_weights(cont, row_lengths, beta):
     return out
 
 
-def attention_base(
-    grid: GridLayout, rel: RelevanceJudgments | None, spec: BrowsingModelSpec
-) -> np.ndarray:
-    """Unadjusted attention: the product of continuations of everything
-    read before each position (geometric reduces to alpha**rank)."""
-    cont = _grid_continuations(grid, rel, spec)
-    return _base_weights(cont)
-
-
-def attention_row_skip(
-    grid: GridLayout, rel: RelevanceJudgments | None, spec: BrowsingModelSpec
-) -> np.ndarray:
-    """Row-skipping attention.
-
-    A row is reached when the user scanned every earlier row to its end or
-    skipped all of them; the top row is always reached. gamma=0 with
-    prefix mode recovers the unadjusted model on any geometry.
-    """
-    cont = _grid_continuations(grid, rel, spec)
-    return _row_skip_weights(
-        cont, grid.row_lengths, spec.gamma, spec.within_row == "prefix"
-    )
-
-
-def attention_slow_decay(
-    grid: GridLayout, rel: RelevanceJudgments | None, spec: BrowsingModelSpec
-) -> np.ndarray:
-    """Slower-decay attention: unadjusted weight boosted by beta**row,
-    capped at 1. beta=1 recovers the unadjusted model exactly."""
-    cont = _grid_continuations(grid, rel, spec)
-    return _slow_decay_weights(cont, grid.row_lengths, spec.beta)
-
-
 def position_weights(
     cont: np.ndarray, row_lengths: np.ndarray, spec: BrowsingModelSpec
 ) -> np.ndarray:
@@ -238,5 +205,10 @@ def position_weights(
 def attention(
     grid: GridLayout, rel: RelevanceJudgments | None, spec: BrowsingModelSpec
 ) -> np.ndarray:
-    """Attention weights of the displayed items, in reading order."""
+    """Attention weights of the displayed items, in reading order.
+
+    Unadjusted, each weight is the product of the continuations of
+    everything read before it (geometric reduces to alpha**rank); row-skip
+    with gamma=0 in prefix mode and slow-decay with beta=1 recover it.
+    """
     return position_weights(_grid_continuations(grid, rel, spec), grid.row_lengths, spec)

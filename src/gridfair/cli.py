@@ -26,16 +26,14 @@ from .core import Ranking
 from .errors import ConfigError, GridfairError, ParseError
 from .harness import (
     COMPARE_KEYS,
-    RenderPlan,
     SweepConfig,
     attention_dump,
     compare_orderings,
     measure,
-    parse_geometry,
     resolve_shared_target,
 )
 from .io import parse_alignment, parse_run, read_results, write_run
-from .layout import VERTICAL, WRAPPED_GRID
+from .layout import VERTICAL, WRAPPED_GRID, RenderPlan, parse_geometry
 from .mc import simulate_row_skip
 from .metrics import PopulationEstimator, population_estimator
 from .rerank import RerankSpec, greedy_rerank
@@ -115,6 +113,7 @@ def _as_list(value) -> list:
 
 def _build_sweep_config(args) -> SweepConfig:
     data = _load_config_file(args.config) if args.config else {}
+    defaults = SweepConfig()
 
     def pick(flag, key, fallback):
         if flag is not None:
@@ -127,54 +126,54 @@ def _build_sweep_config(args) -> SweepConfig:
         pick(_split(args.geometry) if args.geometry else None, "geometries", [])
     )
     config = SweepConfig(
-        runs=[str(p) for p in _as_list(pick(args.run or None, "runs", []))],
-        alignment=pick(args.alignment, "alignment", None),
-        qrels=pick(args.qrels, "qrels", None),
+        runs=[str(p) for p in _as_list(pick(args.run or None, "runs", defaults.runs))],
+        alignment=pick(args.alignment, "alignment", defaults.alignment),
+        qrels=pick(args.qrels, "qrels", defaults.qrels),
         geometries=[parse_geometry(str(tok)) for tok in geometries],
-        columns=[int(c) for c in _as_list(pick(args.columns, "columns", [10, 8, 6, 5, 4, 3]))],
-        reductions=[str(r) for r in _as_list(pick(args.reduction, "reductions", []))],
-        base_columns=int(pick(args.base_columns, "base_columns", 10)),
-        bases=[str(b) for b in _as_list(pick(args.model, "models", ["geometric"]))],
-        adjustments=[str(a) for a in _as_list(pick(args.adjust, "adjustments", ["none"]))],
-        alphas=[float(a) for a in _as_list(pick(args.alpha, "alphas", [0.5]))],
-        gammas=[float(g) for g in _as_list(pick(args.gamma, "gammas", [0.5]))],
-        betas=[float(b) for b in _as_list(pick(args.beta, "betas", [1.9]))],
-        satisfaction=float(pick(args.satisfaction, "satisfaction", 0.5)),
-        within_row=pick(args.within_row, "within_row", "prefix"),
-        metrics=[str(m) for m in _as_list(pick(args.metrics, "metrics", ["awrf"]))],
-        target=pick(args.target, "target", "catalog"),
-        delta=pick(args.delta, "delta", "l1"),
-        protected=pick(args.protected, "protected", None),
-        exclude_unknown=bool(pick(args.exclude_unknown, "exclude_unknown", False)),
-        per_request=bool(pick(args.per_request, "per_request", False)),
-        jobs=int(pick(args.jobs, "jobs", 1)),
-        output=pick(args.output, "output", None),
+        columns=[int(c) for c in _as_list(pick(args.columns, "columns", defaults.columns))],
+        reductions=[str(r) for r in _as_list(pick(args.reduction, "reductions", defaults.reductions))],
+        base_columns=int(pick(args.base_columns, "base_columns", defaults.base_columns)),
+        bases=[str(b) for b in _as_list(pick(args.model, "models", defaults.bases))],
+        adjustments=[str(a) for a in _as_list(pick(args.adjust, "adjustments", defaults.adjustments))],
+        alphas=[float(a) for a in _as_list(pick(args.alpha, "alphas", defaults.alphas))],
+        gammas=[float(g) for g in _as_list(pick(args.gamma, "gammas", defaults.gammas))],
+        betas=[float(b) for b in _as_list(pick(args.beta, "betas", defaults.betas))],
+        satisfaction=float(pick(args.satisfaction, "satisfaction", defaults.satisfaction)),
+        within_row=pick(args.within_row, "within_row", defaults.within_row),
+        metrics=[str(m) for m in _as_list(pick(args.metrics, "metrics", defaults.metrics))],
+        target=pick(args.target, "target", defaults.target),
+        delta=pick(args.delta, "delta", defaults.delta),
+        protected=pick(args.protected, "protected", defaults.protected),
+        exclude_unknown=bool(pick(args.exclude_unknown, "exclude_unknown", defaults.exclude_unknown)),
+        per_request=bool(pick(args.per_request, "per_request", defaults.per_request)),
+        jobs=int(pick(args.jobs, "jobs", defaults.jobs)),
+        output=pick(args.output, "output", defaults.output),
     )
     return config
 
 
 def _browsing_spec_from_args(args) -> BrowsingModelSpec:
-    return BrowsingModelSpec(
-        base=args.model or "geometric",
-        adjustment=args.adjust or "none",
-        alpha=args.alpha if args.alpha is not None else 0.5,
-        gamma=args.gamma if args.gamma is not None else 0.5,
-        beta=args.beta if args.beta is not None else 1.9,
-        satisfaction=args.satisfaction if args.satisfaction is not None else 0.5,
-        within_row=args.within_row or "prefix",
+    """The spec the model flags name; unset flags keep the spec's defaults."""
+    flags = dict(
+        base=args.model,
+        adjustment=args.adjust,
+        alpha=args.alpha,
+        gamma=args.gamma,
+        beta=args.beta,
+        satisfaction=args.satisfaction,
+        within_row=args.within_row,
     )
+    return BrowsingModelSpec(**{k: v for k, v in flags.items() if v is not None})
 
 
 def _cmd_attention(args) -> int:
     spec = _browsing_spec_from_args(args)
     if args.geometry:
-        geom = parse_geometry(args.geometry)
-        columns = 0 if geom.kind == "horizontal-linear" else geom.columns
-        plan = RenderPlan(geometry=geom.kind, columns=columns)
+        plan = parse_geometry(args.geometry)
     elif args.columns is not None:
-        plan = RenderPlan(geometry=WRAPPED_GRID, columns=args.columns)
+        plan = RenderPlan(WRAPPED_GRID, args.columns)
     else:
-        plan = RenderPlan(geometry=VERTICAL, columns=1)
+        plan = RenderPlan(VERTICAL, 1)
     rows = attention_dump(plan, spec, args.length)
     simulated = None
     if args.simulate:

@@ -18,7 +18,6 @@ from typing import Sequence
 import numpy as np
 
 from .browse import (
-    ADJUST_NONE,
     ADJUSTMENTS,
     BASES,
     ROW_SKIP,
@@ -32,17 +31,8 @@ from .browse import (
 from .core import AlignmentTable, Ranking, RelevanceJudgments
 from .errors import ConfigError, MetricError, ParseError
 from .io import ResultsRow, RunFile, parse_alignment, parse_qrels, parse_run, write_results
-from .layout import (
-    GEOMETRY_KINDS,
-    HORIZONTAL,
-    VERTICAL,
-    WRAPPED_GRID,
-    GridLayout,
-    LayoutGeometry,
-    rewrap,
-    truncate,
-    wrap,
-)
+from .layout import WRAPPED_GRID, RenderPlan
+from .layout import rewrap, truncate, wrap  # unused here; perfbench/tracer.py wraps these names
 from .metrics import (
     ESTIMATOR_MODES,
     DistanceSpec,
@@ -58,35 +48,8 @@ from .metrics import (
     tier_means,
 )
 
-REDUCTIONS = ("truncate", "rewrap")
 METRICS = ("awrf", "eel")
 DEFAULT_COLUMN_SIZES = (10, 8, 6, 5, 4, 3)
-
-
-@dataclass(frozen=True)
-class RenderPlan:
-    """One way of putting a ranking on screen.
-
-    ``columns`` is the displayed width (0 stands for "as wide as the
-    list", used by horizontal layouts). Reduced plans first wrap at
-    ``base_columns`` and then truncate or re-wrap down to ``columns``.
-    """
-
-    geometry: str
-    columns: int
-    reduction: str = "none"
-    base_columns: int | None = None
-
-    def render(self, ranking: Ranking) -> GridLayout:
-        if self.geometry == VERTICAL:
-            return wrap(ranking, 1)
-        if self.geometry == HORIZONTAL:
-            return wrap(ranking, max(1, len(ranking.items)))
-        if self.reduction == "truncate":
-            return truncate(wrap(ranking, self.base_columns), self.columns)
-        if self.reduction == "rewrap":
-            return rewrap(wrap(ranking, self.base_columns), self.columns)
-        return wrap(ranking, self.columns)
 
 
 @dataclass
@@ -96,17 +59,17 @@ class SweepConfig:
     runs: list[str] = field(default_factory=list)
     alignment: str | None = None
     qrels: str | None = None
-    geometries: list[LayoutGeometry] = field(default_factory=list)
+    geometries: list[RenderPlan] = field(default_factory=list)
     columns: list[int] = field(default_factory=lambda: list(DEFAULT_COLUMN_SIZES))
     reductions: list[str] = field(default_factory=list)
     base_columns: int = 10
-    bases: list[str] = field(default_factory=lambda: ["geometric"])
-    adjustments: list[str] = field(default_factory=lambda: [ADJUST_NONE])
-    alphas: list[float] = field(default_factory=lambda: [0.5])
-    gammas: list[float] = field(default_factory=lambda: [0.5])
-    betas: list[float] = field(default_factory=lambda: [1.9])
-    satisfaction: float = 0.5
-    within_row: str = "prefix"
+    bases: list[str] = field(default_factory=lambda: [BrowsingModelSpec.base])
+    adjustments: list[str] = field(default_factory=lambda: [BrowsingModelSpec.adjustment])
+    alphas: list[float] = field(default_factory=lambda: [BrowsingModelSpec.alpha])
+    gammas: list[float] = field(default_factory=lambda: [BrowsingModelSpec.gamma])
+    betas: list[float] = field(default_factory=lambda: [BrowsingModelSpec.beta])
+    satisfaction: float = BrowsingModelSpec.satisfaction
+    within_row: str = BrowsingModelSpec.within_row
     metrics: list[str] = field(default_factory=lambda: ["awrf"])
     target: str = "catalog"
     delta: str = "l1"
@@ -129,9 +92,6 @@ class SweepConfig:
         for metric in self.metrics:
             if metric not in METRICS:
                 raise ConfigError(f"unknown metric {metric!r}")
-        for red in self.reductions:
-            if red not in REDUCTIONS:
-                raise ConfigError(f"unknown reduction {red!r}")
         for base in self.bases:
             if base not in BASES:
                 raise ConfigError(f"unknown base model {base!r}")
@@ -141,16 +101,8 @@ class SweepConfig:
         narrow = [c for c in self.columns if c < 1]
         if narrow:
             raise ConfigError(f"column sizes must be at least 1, got {narrow}")
-        if self.reductions:
-            if self.base_columns < 1:
-                raise ConfigError("base grid width must be positive")
-            over = [c for c in self.columns if c > self.base_columns]
-            if over:
-                raise ConfigError(
-                    f"column sizes {over} exceed the base grid width {self.base_columns}"
-                )
-            if not self.columns:
-                raise ConfigError("reductions requested but no column sizes given")
+        if self.reductions and not self.columns:
+            raise ConfigError("reductions requested but no column sizes given")
         if not self.geometries and not self.reductions:
             raise ConfigError("no layouts to measure: give geometries or reductions")
         mode = self.target.split(":", 1)[0]
@@ -162,12 +114,13 @@ class SweepConfig:
             raise ConfigError("jobs must be >= 1")
         if self.output is None:
             raise ConfigError("an output path is required")
+        # Building every plan and browsing model checks reduction names, the
+        # base width and each model parameter before any input is parsed.
+        self.plans()
+        self.browsing_specs()
 
     def plans(self) -> list[RenderPlan]:
-        plans = []
-        for geom in self.geometries:
-            columns = 0 if geom.kind == HORIZONTAL else geom.columns
-            plans.append(RenderPlan(geometry=geom.kind, columns=columns))
+        plans = list(self.geometries)
         for red in self.reductions:
             for size in self.columns:
                 plans.append(
@@ -217,26 +170,6 @@ class SweepConfig:
     def distance(self) -> DistanceSpec:
         kind = "signed-two-group" if self.delta == "signed" else self.delta
         return DistanceSpec(kind=kind, protected=self.protected)
-
-
-def parse_geometry(token: str) -> LayoutGeometry:
-    """Parse ``vertical-linear``, ``horizontal-linear``, or
-    ``wrapped-grid:<columns>``."""
-    if token == VERTICAL:
-        return LayoutGeometry(VERTICAL, 1)
-    if token == HORIZONTAL:
-        return LayoutGeometry(HORIZONTAL, 1)
-    if token.startswith(WRAPPED_GRID):
-        rest = token[len(WRAPPED_GRID) :]
-        if rest.startswith(":"):
-            try:
-                return LayoutGeometry(WRAPPED_GRID, int(rest[1:]))
-            except ValueError:
-                raise ConfigError(f"bad grid width in geometry {token!r}")
-    raise ConfigError(
-        f"unknown geometry {token!r}; expected one of {GEOMETRY_KINDS} "
-        f"(wrapped-grid takes a width, e.g. wrapped-grid:5)"
-    )
 
 
 def _parse_fixed_target(path, table: AlignmentTable) -> np.ndarray:

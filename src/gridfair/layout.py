@@ -1,9 +1,11 @@
-"""Grid geometry: wrapping rankings into rows and reducing column counts.
+"""Layouts: wrapping rankings into rows and reducing column counts.
 
 A ranking is laid out row-major: item at 0-based rank i goes to row
 ``i // columns``, column ``i % columns``. Narrowing the display is done
 either by truncating every row at the new width (hiding the cut items) or
-by re-wrapping the full item order at the new width.
+by re-wrapping the full item order at the new width. A :class:`RenderPlan`
+describes one layout; its ``render`` is the one place that chooses between
+wrapping, truncating and re-wrapping.
 """
 
 from __future__ import annotations
@@ -14,33 +16,13 @@ from functools import cached_property
 import numpy as np
 
 from .core import Ranking
-from .errors import LayoutError
+from .errors import ConfigError, LayoutError
 
 VERTICAL = "vertical-linear"
 HORIZONTAL = "horizontal-linear"
 WRAPPED_GRID = "wrapped-grid"
 GEOMETRY_KINDS = (VERTICAL, HORIZONTAL, WRAPPED_GRID)
-
-
-@dataclass(frozen=True)
-class LayoutGeometry:
-    """Rendering target for a ranking.
-
-    ``columns`` is fixed to 1 for vertical lists and ignored for
-    horizontal lists (which always render as a single row spanning the
-    whole ranking).
-    """
-
-    kind: str
-    columns: int = 1
-
-    def __post_init__(self):
-        if self.kind not in GEOMETRY_KINDS:
-            raise LayoutError(f"unknown geometry kind {self.kind!r}")
-        if self.kind == VERTICAL and self.columns != 1:
-            raise LayoutError("vertical-linear layout requires columns=1")
-        if self.kind == WRAPPED_GRID and self.columns < 1:
-            raise LayoutError(f"invalid geometry: columns={self.columns}")
+REDUCTIONS = ("truncate", "rewrap")
 
 
 @dataclass(frozen=True)
@@ -72,13 +54,6 @@ class GridLayout:
     @cached_property
     def row_lengths(self) -> np.ndarray:
         out = np.array([len(row) for row in self.rows], dtype=np.int64)
-        out.flags.writeable = False
-        return out
-
-    @cached_property
-    def row_of(self) -> np.ndarray:
-        """Row index of each displayed item, in reading order."""
-        out = np.repeat(np.arange(self.n_rows, dtype=np.int64), self.row_lengths)
         out.flags.writeable = False
         return out
 
@@ -141,10 +116,75 @@ def rewrap(grid: GridLayout, new_columns: int) -> GridLayout:
     return wrap(grid.origin, new_columns)
 
 
-def render(ranking: Ranking, geometry: LayoutGeometry) -> GridLayout:
-    """Wrap a ranking according to a geometry description."""
-    if geometry.kind == VERTICAL:
-        return wrap(ranking, 1)
-    if geometry.kind == HORIZONTAL:
-        return wrap(ranking, max(1, len(ranking.items)))
-    return wrap(ranking, geometry.columns)
+@dataclass(frozen=True)
+class RenderPlan:
+    """One way of putting a ranking on screen.
+
+    ``columns`` is the displayed width: 1 for vertical lists, 0 for
+    horizontal lists (one row as wide as the list), at least 1 for wrapped
+    grids. Reduced plans first wrap at ``base_columns`` and then truncate
+    or re-wrap down to ``columns``.
+    """
+
+    geometry: str
+    columns: int
+    reduction: str = "none"
+    base_columns: int | None = None
+
+    def __post_init__(self):
+        if self.geometry not in GEOMETRY_KINDS:
+            raise LayoutError(f"unknown geometry kind {self.geometry!r}")
+        if self.geometry == VERTICAL and self.columns != 1:
+            raise LayoutError("vertical-linear layout requires columns=1")
+        if self.geometry == HORIZONTAL and self.columns != 0:
+            raise LayoutError("horizontal-linear layout requires columns=0")
+        if self.geometry == WRAPPED_GRID and self.columns < 1:
+            raise LayoutError(f"invalid geometry: columns={self.columns}")
+        if self.reduction == "none":
+            return
+        if self.reduction not in REDUCTIONS:
+            raise LayoutError(f"unknown reduction {self.reduction!r}")
+        if self.geometry != WRAPPED_GRID:
+            raise LayoutError(f"a {self.reduction} reduction needs a wrapped grid")
+        if self.base_columns is None or self.base_columns < self.columns:
+            raise LayoutError(
+                f"invalid reduction: cannot {self.reduction} "
+                f"{self.base_columns} columns to {self.columns}"
+            )
+
+    def render(self, ranking: Ranking) -> GridLayout:
+        if self.geometry == VERTICAL:
+            return wrap(ranking, 1)
+        if self.geometry == HORIZONTAL:
+            return wrap(ranking, max(1, len(ranking.items)))
+        if self.reduction == "truncate":
+            return truncate(wrap(ranking, self.base_columns), self.columns)
+        if self.reduction == "rewrap":
+            return rewrap(wrap(ranking, self.base_columns), self.columns)
+        return wrap(ranking, self.columns)
+
+
+def render(ranking: Ranking, plan: RenderPlan) -> GridLayout:
+    """Put a ranking on screen according to a plan."""
+    return plan.render(ranking)
+
+
+def parse_geometry(token: str) -> RenderPlan:
+    """Parse ``vertical-linear``, ``horizontal-linear``, or
+    ``wrapped-grid:<columns>``."""
+    if token == VERTICAL:
+        return RenderPlan(VERTICAL, 1)
+    if token == HORIZONTAL:
+        return RenderPlan(HORIZONTAL, 0)
+    if token.startswith(WRAPPED_GRID):
+        rest = token[len(WRAPPED_GRID) :]
+        if rest.startswith(":"):
+            try:
+                columns = int(rest[1:])
+            except ValueError:
+                raise ConfigError(f"bad grid width in geometry {token!r}")
+            return RenderPlan(WRAPPED_GRID, columns)
+    raise ConfigError(
+        f"unknown geometry {token!r}; expected one of {GEOMETRY_KINDS} "
+        f"(wrapped-grid takes a width, e.g. wrapped-grid:5)"
+    )

@@ -22,7 +22,7 @@ import numpy as np
 from .browse import BrowsingModelSpec, attention
 from .core import UNKNOWN_GROUP, AlignmentTable, GroupSchema, Ranking, RelevanceJudgments
 from .errors import MetricError, ShapeError
-from .layout import GridLayout, LayoutGeometry, render
+from .layout import GridLayout, RenderPlan, render
 
 ESTIMATOR_MODES = ("uniform", "catalog", "retrieved", "fixed")
 DISTANCE_KINDS = ("l1", "l2", "signed-two-group")
@@ -181,7 +181,7 @@ def awrf_system(per_request_scores: Sequence[float]) -> float:
     return float(scores.mean())
 
 
-def _as_renderer(layout: LayoutGeometry | Renderer) -> Renderer:
+def _as_renderer(layout: RenderPlan | Renderer) -> Renderer:
     if callable(layout):
         return layout
     return lambda ranking: render(ranking, layout)
@@ -191,17 +191,17 @@ def target_exposure(
     request: str,
     docs: Sequence[str],
     rel: RelevanceJudgments,
-    layout: LayoutGeometry | Renderer,
+    layout: RenderPlan | Renderer,
     spec: BrowsingModelSpec,
     table: AlignmentTable,
 ) -> np.ndarray:
     """Group exposure delivered by an ideal policy over the given documents.
 
     The documents are ordered best grade first and rendered through the
-    same layout as the system output (``layout`` may be a geometry or a
-    rendering callable so reduced grids can be mirrored exactly). Documents
-    with equal grades share their positions' attention equally: each gets
-    the mean weight over its tier's slots, hidden slots counting as zero.
+    same layout as the system output (``layout`` may be a plan or a
+    rendering callable). Documents with equal grades share their
+    positions' attention equally: each gets the mean weight over its
+    tier's slots, hidden slots counting as zero.
     """
     if not docs:
         raise MetricError("target exposure needs at least one document")
@@ -237,7 +237,7 @@ def tier_means(slot_weight: np.ndarray, tiers: Sequence[tuple[int, int]]) -> np.
 
 def system_exposure(
     rankings: Sequence[Ranking],
-    layout: LayoutGeometry | Renderer,
+    layout: RenderPlan | Renderer,
     spec: BrowsingModelSpec,
     rel: RelevanceJudgments | None,
     table: AlignmentTable,

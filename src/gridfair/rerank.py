@@ -32,6 +32,10 @@ class RerankSpec:
     browsing: BrowsingModelSpec = field(default_factory=BrowsingModelSpec)
     pool: int | None = None
 
+    def __post_init__(self):
+        if self.pool is not None and self.pool < 1:
+            raise MetricError(f"re-rank pool must be at least 1, got {self.pool}")
+
 
 def _strongest_group(vec: np.ndarray, names: tuple[str, ...]) -> str:
     """Group carrying the item's largest membership weight; ties go to the

@@ -27,10 +27,9 @@ from gridfair import (
     truncate,
     wrap,
 )
-from gridfair.browse import attention_base, attention_row_skip, attention_slow_decay
 from gridfair.cli import main
 from gridfair.io import read_results
-from gridfair.layout import LayoutGeometry, WRAPPED_GRID
+from gridfair.layout import WRAPPED_GRID, RenderPlan
 
 from util import make_judgments, make_ranking, make_table, permutation_expectation
 
@@ -59,20 +58,20 @@ def test_c01_model_reductions():
         )
         for base, judged in (("geometric", None), ("cascade", rel)):
             plain = BrowsingModelSpec(base=base, alpha=alpha)
-            ref = attention_base(grid, judged, plain)
+            ref = attention(grid, judged, plain)
             slow = BrowsingModelSpec(base=base, alpha=alpha, adjustment="slow-decay", beta=1.0)
             np.testing.assert_allclose(
-                attention_slow_decay(grid, judged, slow), ref, rtol=0, atol=1e-12
+                attention(grid, judged, slow), ref, rtol=0, atol=1e-12
             )
             skip = BrowsingModelSpec(base=base, alpha=alpha, adjustment="row-skip", gamma=0.0)
             np.testing.assert_allclose(
-                attention_row_skip(grid, judged, skip), ref, rtol=0, atol=1e-12
+                attention(grid, judged, skip), ref, rtol=0, atol=1e-12
             )
         cascade_zero = BrowsingModelSpec(base="cascade", alpha=alpha)
         geo = BrowsingModelSpec(base="geometric", alpha=alpha)
         np.testing.assert_allclose(
-            attention_base(grid, None, cascade_zero),
-            attention_base(grid, None, geo),
+            attention(grid, None, cascade_zero),
+            attention(grid, None, geo),
             rtol=0,
             atol=1e-12,
         )
@@ -128,17 +127,17 @@ def test_c02_bounds_and_row_monotonicity():
         for grid, rel in zip(grids, judged):
             rel = rel if base == "cascade" else None
             for alpha in alphas:
-                check(grid, attention_base(grid, rel, BrowsingModelSpec(base=base, alpha=alpha)))
+                check(grid, attention(grid, rel, BrowsingModelSpec(base=base, alpha=alpha)))
                 for gamma in gammas:
                     spec = BrowsingModelSpec(
                         base=base, adjustment="row-skip", alpha=alpha, gamma=gamma
                     )
-                    check(grid, attention_row_skip(grid, rel, spec))
+                    check(grid, attention(grid, rel, spec))
                 for beta in betas:
                     spec = BrowsingModelSpec(
                         base=base, adjustment="slow-decay", alpha=alpha, beta=beta
                     )
-                    check(grid, attention_slow_decay(grid, rel, spec))
+                    check(grid, attention(grid, rel, spec))
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0, f"bounds suite took {elapsed:.1f}s"
     verdict(2, "weights stay in [0,1] and fall along rows over the whole parameter grid")
@@ -150,7 +149,7 @@ def test_c03_simulation_oracle():
     for i, alpha in enumerate((0.3, 0.5, 0.7)):
         for j, gamma in enumerate((0.3, 0.5, 0.7)):
             spec = BrowsingModelSpec(adjustment="row-skip", alpha=alpha, gamma=gamma)
-            exact = attention_row_skip(grid, None, spec)
+            exact = attention(grid, None, spec)
             est, se = simulate_row_skip(grid, None, spec, 1_000_000, seed=900 + 10 * i + j)
             assert np.all(np.abs(est - exact) <= 3.0 * se + 1e-12), (alpha, gamma)
     elapsed = time.perf_counter() - start
@@ -172,10 +171,10 @@ def test_c04_target_exposure_oracle():
         grades = {d: float(g) for d, g in zip(docs, rng.integers(0, 3, size=n))}
         table = make_table({d: ("a" if i % 2 else "b") for i, d in enumerate(docs)})
         rel = make_judgments("q1", grades)
-        geometry = LayoutGeometry(WRAPPED_GRID, int(rng.integers(1, 5)))
+        plan = RenderPlan(WRAPPED_GRID, int(rng.integers(1, 5)))
         for spec in specs:
-            tau = target_exposure("q1", docs, rel, geometry, spec, table)
-            oracle = permutation_expectation(docs, grades, geometry, spec, table)
+            tau = target_exposure("q1", docs, rel, plan, spec, table)
+            oracle = permutation_expectation(docs, grades, plan, spec, table)
             np.testing.assert_allclose(tau, oracle, rtol=0, atol=1e-12)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"target-exposure oracle took {elapsed:.1f}s"
@@ -196,18 +195,18 @@ def test_c05_metric_zeros():
     grades = {d: float(6 - i) for i, d in enumerate(docs)}
     rel = make_judgments("q1", grades)
     table = make_table({d: ("a" if i < 3 else "b") for i, d in enumerate(docs)})
-    geometry = LayoutGeometry(WRAPPED_GRID, 2)
+    plan = RenderPlan(WRAPPED_GRID, 2)
     model = BrowsingModelSpec(base="cascade", adjustment="row-skip")
     policy = [Ranking("q1", 0, docs)]
-    system = system_exposure(policy, geometry, model, rel, table)
-    ideal = target_exposure("q1", list(docs), rel, geometry, model, table)
+    system = system_exposure(policy, plan, model, rel, table)
+    ideal = target_exposure("q1", list(docs), rel, plan, model, table)
     assert eel(system, ideal) == 0.0
     verdict(5, "parity scores zero and the ideal policy loses zero exposure")
 
 
 def test_c06_policy_exposure_brute_force():
     rng = np.random.default_rng(106)
-    geometry = LayoutGeometry(WRAPPED_GRID, 3)
+    plan = RenderPlan(WRAPPED_GRID, 3)
     spec = BrowsingModelSpec(adjustment="slow-decay", beta=1.7)
     table = make_table({f"d{i}": ("a" if i % 3 else "b") for i in range(12)})
     rel = make_judgments("q1", {f"d{i}": float(i % 2) for i in range(12)})
@@ -217,8 +216,8 @@ def test_c06_policy_exposure_brute_force():
             for s in range(n_samples)
         ]
         docs = sorted({d for r in rankings for d in r.items})
-        ideal = target_exposure("q1", docs, rel, geometry, spec, table)
-        combined = eel(system_exposure(rankings, geometry, spec, rel, table), ideal)
+        ideal = target_exposure("q1", docs, rel, plan, spec, table)
+        combined = eel(system_exposure(rankings, plan, spec, rel, table), ideal)
         expanded_exposure = np.zeros(table.schema.size)
         for ranking in rankings:
             grid = wrap(ranking, 3)

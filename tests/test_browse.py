@@ -2,11 +2,6 @@ import numpy as np
 import pytest
 
 from gridfair import BrowsingModelSpec, ShapeError, attention, continuations, wrap
-from gridfair.browse import (
-    attention_base,
-    attention_row_skip,
-    attention_slow_decay,
-)
 
 from util import make_judgments, make_ranking
 
@@ -46,13 +41,13 @@ class TestContinuation:
 class TestBase:
     def test_geometric_powers(self):
         grid = wrap(make_ranking(4), 1)
-        assert attention_base(grid, None, GEO).tolist() == [1.0, 0.5, 0.25, 0.125]
+        assert attention(grid, None, GEO).tolist() == [1.0, 0.5, 0.25, 0.125]
 
     def test_cascade_products(self):
         grid = wrap(make_ranking(2), 1)
         rel = make_judgments("q1", {"d0": 1.0, "d1": 0.0})
         spec = BrowsingModelSpec(base="cascade", alpha=0.5, satisfaction=0.5)
-        assert attention_base(grid, rel, spec).tolist() == [1.0, 0.25]
+        assert attention(grid, rel, spec).tolist() == [1.0, 0.25]
 
     def test_cascade_all_zero_equals_geometric(self):
         rng = np.random.default_rng(0)
@@ -60,13 +55,13 @@ class TestBase:
         for _ in range(20):
             grid = random_grid(rng)
             np.testing.assert_array_equal(
-                attention_base(grid, None, cascade), attention_base(grid, None, GEO)
+                attention(grid, None, cascade), attention(grid, None, GEO)
             )
 
     def test_layout_shape_does_not_change_base(self):
         ranking = make_ranking(9)
-        linear = attention_base(wrap(ranking, 1), None, GEO)
-        grid = attention_base(wrap(ranking, 3), None, GEO)
+        linear = attention(wrap(ranking, 1), None, GEO)
+        grid = attention(wrap(ranking, 3), None, GEO)
         np.testing.assert_array_equal(linear, grid)
 
 
@@ -77,8 +72,8 @@ class TestRowSkip:
         for _ in range(20):
             grid = random_grid(rng)
             np.testing.assert_allclose(
-                attention_row_skip(grid, None, spec),
-                attention_base(grid, None, GEO),
+                attention(grid, None, spec),
+                attention(grid, None, GEO),
                 rtol=0,
                 atol=1e-12,
             )
@@ -86,17 +81,17 @@ class TestRowSkip:
     def test_square_grid_hand_values(self):
         grid = wrap(make_ranking(4), 2)
         spec = BrowsingModelSpec(adjustment="row-skip", alpha=0.5, gamma=0.5)
-        assert attention_row_skip(grid, None, spec).tolist() == [1.0, 0.5, 0.625, 0.3125]
+        assert attention(grid, None, spec).tolist() == [1.0, 0.5, 0.625, 0.3125]
 
     def test_always_skip_reaches_every_row(self):
         grid = wrap(make_ranking(4), 2)
         spec = BrowsingModelSpec(adjustment="row-skip", alpha=0.5, gamma=1.0)
-        assert attention_row_skip(grid, None, spec).tolist() == [1.0, 0.5, 1.0, 0.5]
+        assert attention(grid, None, spec).tolist() == [1.0, 0.5, 1.0, 0.5]
 
     def test_full_mode_constant_within_rows(self):
         grid = wrap(make_ranking(9), 3)
         spec = BrowsingModelSpec(adjustment="row-skip", within_row="full")
-        weights = attention_row_skip(grid, None, spec)
+        weights = attention(grid, None, spec)
         for row in range(3):
             segment = weights[3 * row : 3 * row + 3]
             assert np.all(segment == segment[0])
@@ -110,7 +105,7 @@ class TestRowSkip:
                 alpha=float(rng.uniform(0.1, 0.9)),
                 gamma=float(rng.uniform(0.0, 1.0)),
             )
-            weights = attention_row_skip(grid, None, spec)
+            weights = attention(grid, None, spec)
             start = 0
             for ln in grid.row_lengths:
                 segment = weights[start : start + ln]
@@ -126,7 +121,7 @@ class TestRowSkip:
                 alpha=float(rng.uniform(0.1, 0.9)),
                 gamma=float(rng.uniform(0.0, 1.0)),
             )
-            weights = attention_row_skip(grid, None, spec)
+            weights = attention(grid, None, spec)
             assert np.all(weights >= 0.0) and np.all(weights <= 1.0)
 
     def test_top_row_always_reached(self):
@@ -134,7 +129,7 @@ class TestRowSkip:
         for _ in range(10):
             grid = random_grid(rng)
             spec = BrowsingModelSpec(adjustment="row-skip", gamma=float(rng.uniform(0, 1)))
-            assert attention_row_skip(grid, None, spec)[0] == 1.0
+            assert attention(grid, None, spec)[0] == 1.0
 
 
 class TestSlowDecay:
@@ -144,8 +139,8 @@ class TestSlowDecay:
         for _ in range(20):
             grid = random_grid(rng)
             np.testing.assert_allclose(
-                attention_slow_decay(grid, None, spec),
-                attention_base(grid, None, GEO),
+                attention(grid, None, spec),
+                attention(grid, None, GEO),
                 rtol=0,
                 atol=1e-12,
             )
@@ -153,12 +148,12 @@ class TestSlowDecay:
     def test_square_grid_hand_values(self):
         grid = wrap(make_ranking(4), 2)
         spec = BrowsingModelSpec(adjustment="slow-decay", alpha=0.5, beta=1.9)
-        assert attention_slow_decay(grid, None, spec).tolist() == [1.0, 0.5, 0.475, 0.2375]
+        assert attention(grid, None, spec).tolist() == [1.0, 0.5, 0.475, 0.2375]
 
     def test_boost_clamped_at_one(self):
         grid = wrap(make_ranking(3), 2)
         spec = BrowsingModelSpec(adjustment="slow-decay", alpha=0.9, beta=2.0)
-        weights = attention_slow_decay(grid, None, spec)
+        weights = attention(grid, None, spec)
         # third item sits on row 1: boost 2 x 0.81 exceeds 1 and is capped
         assert weights[2] == 1.0
 
@@ -167,33 +162,24 @@ class TestSlowDecay:
         geo = BrowsingModelSpec(adjustment="slow-decay", beta=1.6)
         cas = BrowsingModelSpec(base="cascade", adjustment="slow-decay", beta=1.6)
         np.testing.assert_array_equal(
-            attention_slow_decay(grid, None, cas), attention_slow_decay(grid, None, geo)
+            attention(grid, None, cas), attention(grid, None, geo)
         )
 
     def test_deep_single_column_stays_a_probability(self):
         # boost and decay race toward inf and 0; weights must not blow up
         grid = wrap(make_ranking(1200), 1)
         spec = BrowsingModelSpec(adjustment="slow-decay", alpha=0.5, beta=2.0)
-        weights = attention_slow_decay(grid, None, spec)
+        weights = attention(grid, None, spec)
         assert np.all(np.isfinite(weights))
         # alpha*beta = 1 keeps every position at probability exactly 1
         assert np.all(weights == 1.0)
         milder = BrowsingModelSpec(adjustment="slow-decay", alpha=0.4, beta=2.0)
-        weights = attention_slow_decay(grid, None, milder)
+        weights = attention(grid, None, milder)
         assert np.all(np.isfinite(weights))
         assert np.all((weights >= 0.0) & (weights <= 1.0))
 
 
 class TestDispatchAndSpec:
-    def test_dispatch_matches_specific_models(self):
-        grid = wrap(make_ranking(6), 2)
-        for spec, fn in [
-            (BrowsingModelSpec(), attention_base),
-            (BrowsingModelSpec(adjustment="row-skip"), attention_row_skip),
-            (BrowsingModelSpec(adjustment="slow-decay"), attention_slow_decay),
-        ]:
-            np.testing.assert_array_equal(attention(grid, None, spec), fn(grid, None, spec))
-
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ShapeError):
             BrowsingModelSpec(alpha=0.0)

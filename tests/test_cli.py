@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from gridfair import DistanceSpec, PopulationEstimator, attention, awrf, group_exposure
-from gridfair.cli import main
+from gridfair import DistanceSpec, PopulationEstimator, SweepConfig, attention, awrf, group_exposure
+from gridfair.cli import _browsing_spec_from_args, _build_sweep_config, build_parser, main
 from gridfair.io import ResultsRow, parse_run, read_results, write_results
 from gridfair.layout import wrap
 from gridfair.metrics import population_estimator
@@ -91,6 +91,15 @@ class TestAttentionCommand:
 
     def test_bad_geometry_is_usage_error(self, capsys):
         assert main(["attention", "--length", "4", "--geometry", "spiral"]) == 1
+
+    def test_horizontal_geometry_is_one_row(self, capsys):
+        assert main(["attention", "--length", "3", "--geometry", "horizontal-linear"]) == 0
+        rows = [line.split()[1] for line in capsys.readouterr().out.strip().split("\n")[1:]]
+        assert rows == ["0", "0", "0"]
+
+    def test_bare_flags_give_the_default_spec(self):
+        args = build_parser().parse_args(["attention", "--length", "3"])
+        assert _browsing_spec_from_args(args) == BrowsingModelSpec()
 
 
 class TestMeasureCommand:
@@ -247,6 +256,19 @@ class TestMeasureCommand:
         assert main(args) == 1
         assert "column sizes must be at least 1, got [0]" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_bad_model_value_is_config_error_before_parsing(self, inputs, tmp_path, capsys):
+        out = tmp_path / "res.csv"
+        args = self.base_args(inputs, out, ("--alpha", "1.5"))
+        # a missing input would exit 2, so exit 1 shows nothing was parsed
+        args[args.index("--alignment") + 1] = str(tmp_path / "missing.tsv")
+        assert main(args) == 1
+        assert "alpha must be in (0, 1), got 1.5" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bare_flags_give_the_default_axes(self):
+        args = build_parser().parse_args(["measure"])
+        assert _build_sweep_config(args) == SweepConfig()
 
     def test_metric_error_names_system_request_plan_and_spec(self, tmp_path, capsys):
         run = tmp_path / "a.run"
@@ -460,6 +482,23 @@ class TestRerankCommand:
         before = score(parse_run(run).rankings["q1"][0])
         after = score(parse_run(out).rankings["q1"][0])
         assert after < before
+
+    @pytest.mark.parametrize("pool", ["0", "-1"])
+    def test_pool_below_one_is_usage_error(self, tmp_path, capsys, pool):
+        run = tmp_path / "in.run"
+        run.write_text("q1 0 d0 0 2.0 sysA\nq1 0 d1 1 1.0 sysA\n", encoding="utf-8")
+        align = tmp_path / "align.tsv"
+        align.write_text("d0\tA\t1.0\nd1\tB\t1.0\n", encoding="utf-8")
+        out = tmp_path / "out.run"
+        code = main(
+            [
+                "rerank", "--run", str(run), "--alignment", str(align),
+                "--output", str(out), "--pool", pool,
+            ]
+        )
+        assert code == 1
+        assert f"error: re-rank pool must be at least 1, got {pool}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCompareCommand:

@@ -8,13 +8,15 @@ per-ranking sweep that came before the shared per-request arrays; any
 change to a printed value, row or format changes them.
 """
 
+import csv
 import hashlib
 import random
 from pathlib import Path
 
 import pytest
 
-from gridfair.cli import main
+from gridfair import RenderPlan
+from gridfair.cli import _build_sweep_config, build_parser, main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 GOLDEN = {
@@ -60,13 +62,37 @@ def write_fixture(root: Path, seed: int = 20231):
     return runs, root / "alignment.tsv", root / "qrels.txt"
 
 
-@pytest.mark.parametrize("config", sorted(GOLDEN))
-def test_results_csv_is_byte_identical(config, tmp_path):
-    runs, alignment, qrels = write_fixture(tmp_path)
-    out = tmp_path / "results.csv"
+def measure_argv(root: Path, config: str) -> list[str]:
+    runs, alignment, qrels = write_fixture(root)
     argv = ["measure", "--config", str(CONFIGS / config), "--per-request"]
     for run in runs:
         argv += ["--run", str(run)]
-    argv += ["--alignment", str(alignment), "--qrels", str(qrels), "--output", str(out)]
+    out = root / "results.csv"
+    return argv + ["--alignment", str(alignment), "--qrels", str(qrels), "--output", str(out)]
+
+
+@pytest.mark.parametrize("config", sorted(GOLDEN))
+def test_results_csv_is_byte_identical(config, tmp_path):
+    assert main(measure_argv(tmp_path, config)) == 0
+    digest = hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest()
+    assert digest == GOLDEN[config]
+
+
+@pytest.mark.parametrize("config", sorted(GOLDEN))
+def test_rows_rebuild_the_configured_plans(config, tmp_path):
+    """Each row's layout fields, passed positionally to ``RenderPlan`` with
+    the base width of its reduction (as the benchmark's recomputation
+    does), give back one of the configured plans, and every plan appears."""
+    argv = measure_argv(tmp_path, config)
     assert main(argv) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[config]
+    plans = _build_sweep_config(build_parser().parse_args(argv)).plans()
+    base_columns = {plan.reduction: plan.base_columns for plan in plans}
+    with open(tmp_path / "results.csv", encoding="utf-8", newline="") as handle:
+        rebuilt = {
+            RenderPlan(
+                row["geometry"], int(row["columns"]), row["reduction"],
+                base_columns[row["reduction"]],
+            )
+            for row in csv.DictReader(handle)
+        }
+    assert rebuilt == set(plans)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from gridfair import LayoutError, LayoutGeometry, render, rewrap, truncate, wrap
-from gridfair.layout import HORIZONTAL, VERTICAL, WRAPPED_GRID
+from gridfair import ConfigError, LayoutError, RenderPlan, render, rewrap, truncate, wrap
+from gridfair.layout import HORIZONTAL, VERTICAL, WRAPPED_GRID, parse_geometry
 
 from util import make_ranking
 
@@ -126,23 +126,63 @@ class TestPosition:
 class TestGeometry:
     def test_vertical_forces_one_column(self):
         with pytest.raises(LayoutError):
-            LayoutGeometry(VERTICAL, 3)
+            RenderPlan(VERTICAL, 3)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(LayoutError):
-            LayoutGeometry("diagonal", 1)
+            RenderPlan("diagonal", 1)
 
     def test_render_vertical(self):
-        grid = render(make_ranking(3), LayoutGeometry(VERTICAL, 1))
+        grid = render(make_ranking(3), RenderPlan(VERTICAL, 1))
         assert grid.columns == 1
         assert grid.n_rows == 3
 
     def test_render_horizontal_single_row(self):
-        grid = render(make_ranking(7), LayoutGeometry(HORIZONTAL, 1))
+        grid = render(make_ranking(7), RenderPlan(HORIZONTAL, 0))
         assert grid.n_rows == 1
         assert grid.row_lengths.tolist() == [7]
 
     def test_render_grid(self):
-        grid = render(make_ranking(7), LayoutGeometry(WRAPPED_GRID, 3))
+        grid = render(make_ranking(7), RenderPlan(WRAPPED_GRID, 3))
         assert grid.columns == 3
         assert grid.row_lengths.tolist() == [3, 3, 1]
+
+    def test_horizontal_needs_zero_columns(self):
+        with pytest.raises(LayoutError):
+            RenderPlan(HORIZONTAL, 1)
+
+    @pytest.mark.parametrize("columns", [0, -2])
+    def test_grid_needs_a_column(self, columns):
+        with pytest.raises(LayoutError):
+            RenderPlan(WRAPPED_GRID, columns)
+
+    def test_unknown_reduction_rejected(self):
+        with pytest.raises(LayoutError):
+            RenderPlan(WRAPPED_GRID, 3, "squeeze", 5)
+
+    @pytest.mark.parametrize("geometry, columns", [(VERTICAL, 1), (HORIZONTAL, 0)])
+    def test_reduction_needs_a_grid(self, geometry, columns):
+        with pytest.raises(LayoutError):
+            RenderPlan(geometry, columns, "truncate", 5)
+
+    @pytest.mark.parametrize("base_columns", [None, 2])
+    def test_reduction_needs_a_wider_base(self, base_columns):
+        with pytest.raises(LayoutError):
+            RenderPlan(WRAPPED_GRID, 3, "rewrap", base_columns)
+
+    def test_render_reductions(self):
+        ranking = make_ranking(6)
+        cut = render(ranking, RenderPlan(WRAPPED_GRID, 2, "truncate", 3))
+        assert rows_of(cut) == rows_of(truncate(wrap(ranking, 3), 2))
+        reflowed = render(ranking, RenderPlan(WRAPPED_GRID, 2, "rewrap", 3))
+        assert rows_of(reflowed) == rows_of(wrap(ranking, 2))
+
+    def test_parse_geometry_gives_plans(self):
+        assert parse_geometry("vertical-linear") == RenderPlan(VERTICAL, 1)
+        assert parse_geometry("horizontal-linear") == RenderPlan(HORIZONTAL, 0)
+        assert parse_geometry("wrapped-grid:4") == RenderPlan(WRAPPED_GRID, 4)
+        with pytest.raises(LayoutError):
+            parse_geometry("wrapped-grid:0")
+        for bad in ("wrapped-grid", "wrapped-grid:x", "spiral"):
+            with pytest.raises(ConfigError):
+                parse_geometry(bad)

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from gridfair import BrowsingModelSpec, ShapeError, simulate_row_skip, wrap
-from gridfair.browse import attention_row_skip
+from gridfair import BrowsingModelSpec, ShapeError, attention, simulate_row_skip, wrap
 
 from util import make_ranking
 
@@ -11,7 +10,7 @@ class TestSimulator:
     def test_matches_analytic_weights(self):
         grid = wrap(make_ranking(9), 3)
         spec = BrowsingModelSpec(adjustment="row-skip", alpha=0.5, gamma=0.5)
-        exact = attention_row_skip(grid, None, spec)
+        exact = attention(grid, None, spec)
         est, se = simulate_row_skip(grid, None, spec, 100_000, seed=7)
         # 4 standard errors leaves ~2e-3 odds per weight of a false alarm
         assert np.all(np.abs(est - exact) <= 4.0 * se + 1e-12)

@@ -18,7 +18,7 @@ from gridfair import (
     truncate,
     wrap,
 )
-from gridfair.layout import LayoutGeometry, VERTICAL, WRAPPED_GRID
+from gridfair.layout import VERTICAL, WRAPPED_GRID, RenderPlan
 
 from util import make_judgments, make_ranking, make_table, permutation_expectation
 
@@ -185,7 +185,7 @@ class TestTargetExposure:
         table = make_table({"r": "a", "n": "b"})
         rel = make_judgments("q1", {"r": 1.0})
         tau = target_exposure(
-            "q1", ["n", "r"], rel, LayoutGeometry(VERTICAL, 1), BrowsingModelSpec(), table
+            "q1", ["n", "r"], rel, RenderPlan(VERTICAL, 1), BrowsingModelSpec(), table
         )
         assert tau.tolist() == [1.0, 0.5, 0.0]
 
@@ -193,7 +193,7 @@ class TestTargetExposure:
         table = make_table({"x": "a", "y": "b"})
         rel = make_judgments("q1", {"x": 1.0, "y": 1.0})
         tau = target_exposure(
-            "q1", ["x", "y"], rel, LayoutGeometry(VERTICAL, 1), BrowsingModelSpec(), table
+            "q1", ["x", "y"], rel, RenderPlan(VERTICAL, 1), BrowsingModelSpec(), table
         )
         assert tau.tolist() == [0.75, 0.75, 0.0]
 
@@ -211,7 +211,7 @@ class TestTargetExposure:
         table = make_table({"d": "a"})
         with pytest.raises(MetricError):
             target_exposure(
-                "q1", [], make_judgments("q1", {}), LayoutGeometry(VERTICAL, 1),
+                "q1", [], make_judgments("q1", {}), RenderPlan(VERTICAL, 1),
                 BrowsingModelSpec(), table,
             )
 
@@ -232,10 +232,10 @@ class TestTargetExposure:
                 {d: ("a" if i % 2 else "b") for i, d in enumerate(docs)}
             )
             rel = make_judgments("q1", grades)
-            geometry = LayoutGeometry(WRAPPED_GRID, int(rng.integers(1, 4)))
+            plan = RenderPlan(WRAPPED_GRID, int(rng.integers(1, 4)))
             for spec in specs:
-                tau = target_exposure("q1", docs, rel, geometry, spec, table)
-                oracle = permutation_expectation(docs, grades, geometry, spec, table)
+                tau = target_exposure("q1", docs, rel, plan, spec, table)
+                oracle = permutation_expectation(docs, grades, plan, spec, table)
                 np.testing.assert_allclose(tau, oracle, rtol=0, atol=1e-12)
 
 
@@ -244,7 +244,7 @@ class TestSystemExposureAndEel:
         table = make_table({"d0": "a", "d1": "b"})
         ranking = make_ranking(2)
         expo = system_exposure(
-            [ranking], LayoutGeometry(VERTICAL, 1), BrowsingModelSpec(), None, table
+            [ranking], RenderPlan(VERTICAL, 1), BrowsingModelSpec(), None, table
         )
         assert expo.tolist() == [1.0, 0.5, 0.0]
 
@@ -253,7 +253,7 @@ class TestSystemExposureAndEel:
         first = Ranking("q1", 0, ("d0", "d1"))
         second = Ranking("q1", 1, ("d1", "d0"))
         expo = system_exposure(
-            [first, second], LayoutGeometry(VERTICAL, 1), BrowsingModelSpec(), None, table
+            [first, second], RenderPlan(VERTICAL, 1), BrowsingModelSpec(), None, table
         )
         assert expo.tolist() == [0.75, 0.75, 0.0]
 
@@ -261,7 +261,7 @@ class TestSystemExposureAndEel:
         table = make_table({"d0": "a", "d1": "b"})
         rankings = [Ranking("q1", i, ("d0", "d1")) for i in range(3)]
         expo = system_exposure(
-            rankings, LayoutGeometry(VERTICAL, 1), BrowsingModelSpec(), None, table
+            rankings, RenderPlan(VERTICAL, 1), BrowsingModelSpec(), None, table
         )
         assert expo.tolist() == [1.0, 0.5, 0.0]
 
@@ -269,7 +269,7 @@ class TestSystemExposureAndEel:
         table = make_table({"d0": "a"})
         with pytest.raises(MetricError):
             system_exposure(
-                [], LayoutGeometry(VERTICAL, 1), BrowsingModelSpec(), None, table
+                [], RenderPlan(VERTICAL, 1), BrowsingModelSpec(), None, table
             )
 
     def test_eel_zero_on_match(self):
@@ -290,17 +290,17 @@ class TestSystemExposureAndEel:
     def test_policy_mean_matches_explicit_expansion(self):
         rng = np.random.default_rng(8)
         table = make_table({f"d{i}": ("a" if i % 3 else "b") for i in range(12)})
-        geometry = LayoutGeometry(WRAPPED_GRID, 3)
+        plan = RenderPlan(WRAPPED_GRID, 3)
         spec = BrowsingModelSpec(adjustment="row-skip")
         for n_samples in range(1, 6):
             rankings = []
             for s in range(n_samples):
                 items = [f"d{i}" for i in rng.permutation(12)[:8]]
                 rankings.append(Ranking("q1", s, tuple(items)))
-            combined = system_exposure(rankings, geometry, spec, None, table)
+            combined = system_exposure(rankings, plan, spec, None, table)
             expanded = np.zeros(table.schema.size)
             for ranking in rankings:
                 expanded += (1.0 / n_samples) * system_exposure(
-                    [ranking], geometry, spec, None, table
+                    [ranking], plan, spec, None, table
                 )
             np.testing.assert_allclose(combined, expanded, rtol=0, atol=1e-12)

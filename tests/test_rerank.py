@@ -133,6 +133,11 @@ class TestGreedyRerank:
                 Ranking("q1", 0, ()), table, RerankSpec(target=np.array([1.0, 0.0]))
             )
 
+    @pytest.mark.parametrize("pool", [0, -1])
+    def test_pool_below_one_rejected(self, pool):
+        with pytest.raises(MetricError, match="pool must be at least 1"):
+            RerankSpec(target=np.array([1.0, 0.0]), pool=pool)
+
     def test_optimal_inputs_stay_optimal(self):
         """When the input order already attains the permutation minimum,
         re-ranking must not lose it."""

@@ -31,7 +31,7 @@ from gridfair import (
     system_exposure,
     target_exposure,
 )
-from gridfair.harness import parse_geometry
+from gridfair.layout import parse_geometry
 from gridfair.metrics import drop_unknown
 
 TOLERANCE = 1e-12

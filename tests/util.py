@@ -5,7 +5,6 @@ import itertools
 import numpy as np
 
 from gridfair import AlignmentTable, GroupSchema, Ranking, RelevanceJudgments, attention
-from gridfair.layout import render
 
 
 def make_schema(*groups):
@@ -47,7 +46,7 @@ def make_judgments(request, grades):
     return RelevanceJudgments({(request, doc): g for doc, g in grades.items()})
 
 
-def permutation_expectation(docs, grades, geometry, spec, table):
+def permutation_expectation(docs, grades, plan, spec, table):
     """Exposure of an ideal policy, averaged over every ordering that keeps
     better grades first. Independent oracle for tier-shared target exposure
     (exact only for models whose weights depend on position alone)."""
@@ -59,7 +58,7 @@ def permutation_expectation(docs, grades, geometry, spec, table):
     count = 0
     for perms in itertools.product(*(itertools.permutations(t) for t in tier_lists)):
         order = [doc for tier in perms for doc in tier]
-        grid = render(Ranking("q1", 0, tuple(order)), geometry)
+        grid = plan.render(Ranking("q1", 0, tuple(order)))
         weights = attention(grid, None, spec)
         per_doc = np.zeros(len(order))
         for i, doc in enumerate(order):

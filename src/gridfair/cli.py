@@ -18,16 +18,17 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import fields
+from typing import get_args, get_origin, get_type_hints
 
 import yaml
 
-from .browse import ROW_SKIP, BrowsingModelSpec
+from .browse import ADJUSTMENTS, BASES, ROW_SKIP, BrowsingModelSpec, attention
 from .core import Ranking
 from .errors import ConfigError, GridfairError, ParseError
 from .harness import (
     COMPARE_KEYS,
     SweepConfig,
-    attention_dump,
     compare_orderings,
     measure,
     resolve_shared_target,
@@ -38,30 +39,12 @@ from .mc import simulate_row_skip
 from .metrics import PopulationEstimator, population_estimator
 from .rerank import RerankSpec, greedy_rerank
 
-_CONFIG_KEYS = {
-    "runs",
-    "alignment",
-    "qrels",
-    "geometries",
-    "columns",
-    "reductions",
-    "base_columns",
-    "models",
-    "adjustments",
-    "alphas",
-    "gammas",
-    "betas",
-    "satisfaction",
-    "within_row",
-    "metrics",
-    "target",
-    "delta",
-    "protected",
-    "exclude_unknown",
-    "per_request",
-    "jobs",
-    "output",
-}
+# Each ``measure`` flag stores into the SweepConfig field of the same name
+# (``--model`` into ``bases``), and each YAML key is a field name, except
+# that ``bases`` is read from ``models``.
+_YAML_KEYS = {f.name: "models" if f.name == "bases" else f.name for f in fields(SweepConfig)}
+_CONFIG_KEYS = set(_YAML_KEYS.values())
+_SWEEP_TYPES = get_type_hints(SweepConfig)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -111,62 +94,44 @@ def _as_list(value) -> list:
     return list(value)
 
 
+def _convert(kind, value):
+    """A flag or YAML value as a SweepConfig field of type ``kind``; a
+    scalar where a list is expected is a list of one."""
+    if get_origin(kind) is list:
+        (item,) = get_args(kind)
+        return [_convert(item, v) for v in _as_list(value)]
+    if kind is RenderPlan:
+        return parse_geometry(str(value))
+    if get_args(kind):  # ``T | None``, and the value is not None
+        kind = get_args(kind)[0]
+    return kind(value)
+
+
 def _build_sweep_config(args) -> SweepConfig:
+    """Each field from its flag, else its YAML key, else its default."""
     data = _load_config_file(args.config) if args.config else {}
-    defaults = SweepConfig()
-
-    def pick(flag, key, fallback):
-        if flag is not None:
-            return flag
-        if key in data and data[key] is not None:
-            return data[key]
-        return fallback
-
-    geometries = _as_list(
-        pick(_split(args.geometry) if args.geometry else None, "geometries", [])
-    )
-    config = SweepConfig(
-        runs=[str(p) for p in _as_list(pick(args.run or None, "runs", defaults.runs))],
-        alignment=pick(args.alignment, "alignment", defaults.alignment),
-        qrels=pick(args.qrels, "qrels", defaults.qrels),
-        geometries=[parse_geometry(str(tok)) for tok in geometries],
-        columns=[int(c) for c in _as_list(pick(args.columns, "columns", defaults.columns))],
-        reductions=[str(r) for r in _as_list(pick(args.reduction, "reductions", defaults.reductions))],
-        base_columns=int(pick(args.base_columns, "base_columns", defaults.base_columns)),
-        bases=[str(b) for b in _as_list(pick(args.model, "models", defaults.bases))],
-        adjustments=[str(a) for a in _as_list(pick(args.adjust, "adjustments", defaults.adjustments))],
-        alphas=[float(a) for a in _as_list(pick(args.alpha, "alphas", defaults.alphas))],
-        gammas=[float(g) for g in _as_list(pick(args.gamma, "gammas", defaults.gammas))],
-        betas=[float(b) for b in _as_list(pick(args.beta, "betas", defaults.betas))],
-        satisfaction=float(pick(args.satisfaction, "satisfaction", defaults.satisfaction)),
-        within_row=pick(args.within_row, "within_row", defaults.within_row),
-        metrics=[str(m) for m in _as_list(pick(args.metrics, "metrics", defaults.metrics))],
-        target=pick(args.target, "target", defaults.target),
-        delta=pick(args.delta, "delta", defaults.delta),
-        protected=pick(args.protected, "protected", defaults.protected),
-        exclude_unknown=bool(pick(args.exclude_unknown, "exclude_unknown", defaults.exclude_unknown)),
-        per_request=bool(pick(args.per_request, "per_request", defaults.per_request)),
-        jobs=int(pick(args.jobs, "jobs", defaults.jobs)),
-        output=pick(args.output, "output", defaults.output),
-    )
-    return config
+    values = {}
+    for name, key in _YAML_KEYS.items():
+        value = getattr(args, name)
+        if value is None:
+            value = data.get(key)
+        if value is not None:
+            try:
+                values[name] = _convert(_SWEEP_TYPES[name], value)
+            except (TypeError, ValueError):
+                raise ConfigError(f"bad value for config key {key}: {value!r}")
+    return SweepConfig(**values)
 
 
 def _browsing_spec_from_args(args) -> BrowsingModelSpec:
     """The spec the model flags name; unset flags keep the spec's defaults."""
-    flags = dict(
-        base=args.model,
-        adjustment=args.adjust,
-        alpha=args.alpha,
-        gamma=args.gamma,
-        beta=args.beta,
-        satisfaction=args.satisfaction,
-        within_row=args.within_row,
-    )
-    return BrowsingModelSpec(**{k: v for k, v in flags.items() if v is not None})
+    given = {f.name: getattr(args, f.name, None) for f in fields(BrowsingModelSpec)}
+    return BrowsingModelSpec(**{k: v for k, v in given.items() if v is not None})
 
 
 def _cmd_attention(args) -> int:
+    """Weights of a synthetic ranking of ``--length`` items under one plan:
+    reading rank, row, column and weight per displayed item."""
     spec = _browsing_spec_from_args(args)
     if args.geometry:
         plan = parse_geometry(args.geometry)
@@ -174,26 +139,23 @@ def _cmd_attention(args) -> int:
         plan = RenderPlan(WRAPPED_GRID, args.columns)
     else:
         plan = RenderPlan(VERTICAL, 1)
-    rows = attention_dump(plan, spec, args.length)
-    simulated = None
-    if args.simulate:
-        if spec.adjustment != ROW_SKIP or spec.within_row != "prefix":
-            raise ConfigError("--simulate covers the prefix-mode row-skip model only")
-        ranking = Ranking(
-            request="synthetic",
-            sample=0,
-            items=tuple(f"d{i}" for i in range(args.length)),
-        )
-        grid = plan.render(ranking)
-        simulated = simulate_row_skip(grid, None, spec, args.simulate, args.seed or 0)
+    if args.length < 0:
+        raise ConfigError("length must be non-negative")
+    if args.simulate and (spec.adjustment != ROW_SKIP or spec.within_row != "prefix"):
+        raise ConfigError("--simulate covers the prefix-mode row-skip model only")
+    ranking = Ranking("synthetic", 0, tuple(f"d{i}" for i in range(args.length)))
+    grid = plan.render(ranking)
+    weights = attention(grid, None, spec)
     header = "rank row col weight"
-    if simulated is not None:
+    if args.simulate:
+        simulated, stderr = simulate_row_skip(grid, None, spec, args.simulate, args.seed)
         header += " simulated stderr"
     print(header)
-    for rank, row, col, weight in rows:
-        line = f"{rank} {row} {col} {weight:.10g}"
-        if simulated is not None:
-            line += f" {simulated[0][rank]:.10g} {simulated[1][rank]:.3g}"
+    for doc in grid.items:
+        row, col, rank = grid.position(doc)
+        line = f"{rank} {row} {col} {float(weights[rank]):.10g}"
+        if args.simulate:
+            line += f" {simulated[rank]:.10g} {stderr[rank]:.3g}"
         print(line)
     return 0
 
@@ -271,14 +233,16 @@ def _cmd_compare(args) -> int:
 def _add_model_flags(parser, lists: bool):
     """Browsing-model flags; comma-separated lists on ``measure``."""
     if lists:
-        parser.add_argument("--model", type=_split, help="base models (geometric,cascade)")
-        parser.add_argument("--adjust", type=_split, help="adjustments (none,row-skip,slow-decay)")
-        parser.add_argument("--alpha", type=_floats, help="continuation probabilities")
-        parser.add_argument("--gamma", type=_floats, help="row-skipping probabilities")
-        parser.add_argument("--beta", type=_floats, help="slow-decay boosts")
+        parser.add_argument("--model", dest="bases", type=_split, help="base models (geometric,cascade)")
+        parser.add_argument(
+            "--adjust", dest="adjustments", type=_split, help="adjustments (none,row-skip,slow-decay)"
+        )
+        parser.add_argument("--alpha", dest="alphas", type=_floats, help="continuation probabilities")
+        parser.add_argument("--gamma", dest="gammas", type=_floats, help="row-skipping probabilities")
+        parser.add_argument("--beta", dest="betas", type=_floats, help="slow-decay boosts")
     else:
-        parser.add_argument("--model", choices=("geometric", "cascade"))
-        parser.add_argument("--adjust", choices=("none", "row-skip", "slow-decay"))
+        parser.add_argument("--model", dest="base", choices=BASES)
+        parser.add_argument("--adjust", dest="adjustment", choices=ADJUSTMENTS)
         parser.add_argument("--alpha", type=float)
         parser.add_argument("--gamma", type=float)
         parser.add_argument("--beta", type=float)
@@ -301,13 +265,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_meas = sub.add_parser("measure", help="sweep layouts and models over run files")
     p_meas.add_argument("--config", help="YAML config; flags override its keys")
-    p_meas.add_argument("--run", action="append", help="run file (repeatable)")
+    p_meas.add_argument("--run", dest="runs", action="append", help="run file (repeatable)")
     p_meas.add_argument("--qrels")
     p_meas.add_argument("--alignment")
-    p_meas.add_argument("--geometry", help="comma-separated geometry tokens")
+    # An empty --geometry leaves the config's geometries in place.
+    p_meas.add_argument(
+        "--geometry",
+        dest="geometries",
+        type=lambda text: _split(text) if text else None,
+        help="comma-separated geometry tokens",
+    )
     p_meas.add_argument("--columns", type=_ints, help="column sizes for reductions")
     p_meas.add_argument("--base-columns", dest="base_columns", type=int)
-    p_meas.add_argument("--reduction", type=_split, help="truncate,rewrap")
+    p_meas.add_argument("--reduction", dest="reductions", type=_split, help="truncate,rewrap")
     _add_model_flags(p_meas, lists=True)
     p_meas.add_argument("--metrics", type=_split, help="awrf,eel")
     p_meas.add_argument("--target", help="uniform | catalog | retrieved | fixed:<path>")

@@ -18,19 +18,26 @@ from typing import Sequence
 import numpy as np
 
 from .browse import (
-    ADJUSTMENTS,
-    BASES,
     ROW_SKIP,
     SLOW_DECAY,
     BrowsingModelSpec,
-    attention,
+    attention,  # unused here; perfbench/tracer.py wraps this name
     continuations,
     position_weights,
     shape_only,
 )
 from .core import AlignmentTable, Ranking, RelevanceJudgments
-from .errors import ConfigError, MetricError, ParseError
-from .io import ResultsRow, RunFile, parse_alignment, parse_qrels, parse_run, write_results
+from .errors import ConfigError, MetricError
+from .io import (
+    RESULT_FIELDS,
+    ResultsRow,
+    RunFile,
+    parse_alignment,
+    parse_fixed_target,
+    parse_qrels,
+    parse_run,
+    write_results,
+)
 from .layout import WRAPPED_GRID, RenderPlan
 from .layout import rewrap, truncate, wrap  # unused here; perfbench/tracer.py wraps these names
 from .metrics import (
@@ -92,12 +99,9 @@ class SweepConfig:
         for metric in self.metrics:
             if metric not in METRICS:
                 raise ConfigError(f"unknown metric {metric!r}")
-        for base in self.bases:
-            if base not in BASES:
-                raise ConfigError(f"unknown base model {base!r}")
-        for adj in self.adjustments:
-            if adj not in ADJUSTMENTS:
-                raise ConfigError(f"unknown adjustment {adj!r}")
+        for axis in ("bases", "adjustments", "alphas", "gammas", "betas"):
+            if not getattr(self, axis):
+                raise ConfigError(f"at least one value is required for {axis}")
         narrow = [c for c in self.columns if c < 1]
         if narrow:
             raise ConfigError(f"column sizes must be at least 1, got {narrow}")
@@ -108,16 +112,16 @@ class SweepConfig:
         mode = self.target.split(":", 1)[0]
         if mode not in ESTIMATOR_MODES:
             raise ConfigError(f"unknown target estimator {self.target!r}")
-        if self.delta not in ("l1", "l2", "signed"):
-            raise ConfigError(f"unknown distance {self.delta!r}")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
         if self.output is None:
             raise ConfigError("an output path is required")
-        # Building every plan and browsing model checks reduction names, the
-        # base width and each model parameter before any input is parsed.
+        # Building every plan, browsing model and the distance checks
+        # reduction names, the base width, each model name and parameter and
+        # the distance kind before any input is parsed.
         self.plans()
         self.browsing_specs()
+        self.distance()
 
     def plans(self) -> list[RenderPlan]:
         plans = list(self.geometries)
@@ -172,30 +176,6 @@ class SweepConfig:
         return DistanceSpec(kind=kind, protected=self.protected)
 
 
-def _parse_fixed_target(path, table: AlignmentTable) -> np.ndarray:
-    values = np.zeros(table.schema.size)
-    seen = set()
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ParseError(path, lineno, f"expected 'group weight', got {line!r}")
-            name, weight_s = parts
-            if name not in table.schema.names:
-                raise ParseError(path, lineno, f"group {name!r} not in the alignment schema")
-            if name in seen:
-                raise ParseError(path, lineno, f"duplicate group {name!r}")
-            try:
-                values[table.schema.index(name)] = float(weight_s)
-            except ValueError:
-                raise ParseError(path, lineno, f"weight {weight_s!r} is not a number")
-            seen.add(name)
-    return values
-
-
 def resolve_shared_target(target: str, table: AlignmentTable) -> np.ndarray | None:
     """Target distribution shared by all requests, or None when the
     estimator depends on each request's retrieved set."""
@@ -205,7 +185,7 @@ def resolve_shared_target(target: str, table: AlignmentTable) -> np.ndarray | No
     if mode == "fixed":
         if ":" not in target:
             raise ConfigError("fixed target needs a path: fixed:<path>")
-        fixed = _parse_fixed_target(target.split(":", 1)[1], table)
+        fixed = parse_fixed_target(target.split(":", 1)[1], table.schema)
         return population_estimator(PopulationEstimator("fixed", fixed), table)
     if mode not in ("uniform", "catalog"):
         raise ConfigError(f"unknown target estimator {target!r}")
@@ -408,71 +388,38 @@ def measure(config: SweepConfig) -> list[ResultsRow]:
         requests = run.requests()
         for pi, plan in enumerate(plans):
             for si, spec in enumerate(specs):
+                # The COMPARE_KEYS columns of every row of this (plan, spec).
+                layout_model = (
+                    plan.geometry,
+                    plan.columns,
+                    plan.reduction,
+                    spec.base,
+                    spec.adjustment,
+                    spec.alpha,
+                    spec.gamma,
+                    spec.beta,
+                )
                 for metric in metrics:
                     per_request = [
                         results[(ri, request)][(pi, si, metric)] for request in requests
                     ]
-                    fields = dict(
-                        system=run.system,
-                        geometry=plan.geometry,
-                        columns=plan.columns,
-                        reduction=plan.reduction,
-                        base=spec.base,
-                        adjustment=spec.adjustment,
-                        alpha=spec.alpha,
-                        gamma=spec.gamma,
-                        beta=spec.beta,
-                        metric=metric,
-                    )
-                    rows.append(
-                        ResultsRow(request="ALL", value=awrf_system(per_request), **fields)
-                    )
+                    aggregate = awrf_system(per_request)
+                    rows.append(ResultsRow(run.system, "ALL", *layout_model, metric, aggregate))
                     if config.per_request:
                         for request, value in zip(requests, per_request):
                             rows.append(
-                                ResultsRow(request=request, value=value, **fields)
+                                ResultsRow(run.system, request, *layout_model, metric, value)
                             )
     write_results(rows, config.output)
     return rows
-
-
-def attention_dump(
-    plan: RenderPlan, spec: BrowsingModelSpec, length: int
-) -> list[tuple[int, int, int, float]]:
-    """Weights of a synthetic ranking of the given length under one plan:
-    (reading rank, row, column, weight) per displayed item."""
-    if length < 0:
-        raise ConfigError("length must be non-negative")
-    if length == 0:
-        return []
-    ranking = Ranking(
-        request="synthetic",
-        sample=0,
-        items=tuple(f"d{i}" for i in range(length)),
-    )
-    grid = plan.render(ranking)
-    weights = attention(grid, None, spec)
-    out = []
-    for doc in grid.items:
-        row, col, rank = grid.position(doc)
-        out.append((rank, row, col, float(weights[rank])))
-    return out
 
 
 # ---------------------------------------------------------------------------
 # ordering-consistency comparison of measured configurations
 # ---------------------------------------------------------------------------
 
-COMPARE_KEYS = (
-    "geometry",
-    "columns",
-    "reduction",
-    "base",
-    "adjustment",
-    "alpha",
-    "gamma",
-    "beta",
-)
+# The layout and model columns of a results row, between request and metric.
+COMPARE_KEYS = RESULT_FIELDS[2:-2]
 
 
 def compare_orderings(

@@ -9,26 +9,14 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass, fields
+from operator import attrgetter
+from typing import Iterable, Mapping, Sequence, get_type_hints
+
+import numpy as np
 
 from .core import AlignmentTable, GroupSchema, Ranking, RelevanceJudgments
 from .errors import MetricError, ParseError
-
-RESULT_FIELDS = (
-    "system",
-    "request",
-    "geometry",
-    "columns",
-    "reduction",
-    "base",
-    "adjustment",
-    "alpha",
-    "gamma",
-    "beta",
-    "metric",
-    "value",
-)
 
 
 @dataclass(frozen=True)
@@ -65,19 +53,15 @@ class ResultsRow:
             raise MetricError(f"non-finite metric value: {self.value}")
 
     def sort_key(self):
-        return (
-            self.system,
-            self.request,
-            self.geometry,
-            self.columns,
-            self.reduction,
-            self.base,
-            self.adjustment,
-            self.alpha,
-            self.gamma,
-            self.beta,
-            self.metric,
-        )
+        """Every field but the value, in declaration order."""
+        return _row_key(self)
+
+
+RESULT_FIELDS = tuple(f.name for f in fields(ResultsRow))
+_row_key = attrgetter(*(name for name in RESULT_FIELDS if name != "value"))
+_row_cells = attrgetter(*RESULT_FIELDS)
+# Field types double as the reader's conversions from CSV text.
+_RESULT_TYPES = tuple(get_type_hints(ResultsRow)[name] for name in RESULT_FIELDS)
 
 
 def _data_lines(path):
@@ -238,6 +222,33 @@ def parse_qrels(path) -> RelevanceJudgments:
     return RelevanceJudgments(grades)
 
 
+def parse_fixed_target(path, schema: GroupSchema) -> np.ndarray:
+    """Read whitespace-separated ``group weight`` lines into a vector over
+    the schema's groups; groups not listed weigh 0."""
+    values = np.zeros(schema.size)
+    seen = set()
+    for lineno, line in _data_lines(path):
+        parts = line.split()
+        if len(parts) != 2:
+            raise ParseError(path, lineno, f"expected 'group weight', got {line.strip()!r}")
+        name, weight_s = parts
+        if name not in schema.names:
+            raise ParseError(path, lineno, f"group {name!r} not in the alignment schema")
+        if name in seen:
+            raise ParseError(path, lineno, f"duplicate group {name!r}")
+        try:
+            weight = float(weight_s)
+        except ValueError:
+            raise ParseError(path, lineno, f"weight {weight_s!r} is not a number")
+        if not math.isfinite(weight):
+            raise ParseError(path, lineno, f"non-finite target weight {weight_s!r}")
+        if weight < 0:
+            raise ParseError(path, lineno, f"negative target weight {weight}")
+        values[schema.index(name)] = weight
+        seen.add(name)
+    return values
+
+
 def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
@@ -249,23 +260,9 @@ def write_results(rows: Sequence[ResultsRow], path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(RESULT_FIELDS)
+        formats = [_fmt if kind is float else str for kind in _RESULT_TYPES]
         for row in ordered:
-            writer.writerow(
-                [
-                    row.system,
-                    row.request,
-                    row.geometry,
-                    str(row.columns),
-                    row.reduction,
-                    row.base,
-                    row.adjustment,
-                    _fmt(row.alpha),
-                    _fmt(row.gamma),
-                    _fmt(row.beta),
-                    row.metric,
-                    _fmt(row.value),
-                ]
-            )
+            writer.writerow([fmt(cell) for fmt, cell in zip(formats, _row_cells(row))])
 
 
 def read_results(path) -> list[ResultsRow]:
@@ -285,20 +282,7 @@ def read_results(path) -> list[ResultsRow]:
                 )
             try:
                 rows.append(
-                    ResultsRow(
-                        system=record[0],
-                        request=record[1],
-                        geometry=record[2],
-                        columns=int(record[3]),
-                        reduction=record[4],
-                        base=record[5],
-                        adjustment=record[6],
-                        alpha=float(record[7]),
-                        gamma=float(record[8]),
-                        beta=float(record[9]),
-                        metric=record[10],
-                        value=float(record[11]),
-                    )
+                    ResultsRow(*(kind(cell) for kind, cell in zip(_RESULT_TYPES, record)))
                 )
             except (ValueError, MetricError) as exc:
                 raise ParseError(path, lineno, str(exc))

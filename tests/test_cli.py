@@ -241,6 +241,19 @@ class TestMeasureCommand:
         assert main(["measure", "--config", str(config)]) == 1
         assert "unknown config keys: ['seed']" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("alphas: [0.3, fast]", "bad value for config key alphas: [0.3, 'fast']"),
+            ("jobs: [2]", "bad value for config key jobs: [2]"),
+        ],
+    )
+    def test_mistyped_config_value_is_config_error(self, inputs, tmp_path, capsys, line, message):
+        config = tmp_path / "sweep.yaml"
+        config.write_text(line + "\n", encoding="utf-8")
+        assert main(["measure", "--config", str(config)]) == 1
+        assert message in capsys.readouterr().err
+
     def test_zero_jobs_is_config_error(self, inputs, tmp_path, capsys):
         out = tmp_path / "res.csv"
         assert main(self.base_args(inputs, out, ("--jobs", "0"))) == 1
@@ -367,6 +380,63 @@ class TestMeasureCommand:
             ]
         )
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "text,lineno",
+        [("A nan\nB 0.2\n", 1), ("A 0.8\nB inf\n", 2), ("# note\nA -0.2\nB 1.2\n", 2)],
+    )
+    def test_bad_fixed_target_weight_is_parse_error(self, inputs, tmp_path, capsys, text, lineno):
+        run_a, _, alignment, _ = inputs
+        target = tmp_path / "target.txt"
+        target.write_text(text, encoding="utf-8")
+        out = tmp_path / "res.csv"
+        code = main(
+            [
+                "measure", "--run", str(run_a), "--alignment", str(alignment),
+                "--geometry", "vertical-linear", "--target", f"fixed:{target}",
+                "--output", str(out),
+            ]
+        )
+        assert code == 2
+        assert f"error: {target}:{lineno}: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag,axis",
+        [
+            ("--model", "bases"),
+            ("--adjust", "adjustments"),
+            ("--alpha", "alphas"),
+            ("--gamma", "gammas"),
+            ("--beta", "betas"),
+        ],
+    )
+    def test_empty_model_axis_flag_is_config_error_before_parsing(
+        self, inputs, tmp_path, capsys, flag, axis
+    ):
+        out = tmp_path / "res.csv"
+        args = self.base_args(inputs, out, (flag, ""))
+        # a missing input would exit 2, so exit 1 shows nothing was parsed
+        args[args.index("--alignment") + 1] = str(tmp_path / "missing.tsv")
+        assert main(args) == 1
+        assert axis in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key,axis", [("models", "bases"), ("alphas", "alphas")])
+    def test_empty_model_axis_key_is_config_error(self, inputs, tmp_path, capsys, key, axis):
+        run_a, _, alignment, _ = inputs
+        out = tmp_path / "res.csv"
+        config = tmp_path / "sweep.yaml"
+        config.write_text(f"{key}: []\ngeometries: [vertical-linear]\n", encoding="utf-8")
+        code = main(
+            [
+                "measure", "--config", str(config), "--run", str(run_a),
+                "--alignment", str(alignment), "--output", str(out),
+            ]
+        )
+        assert code == 1
+        assert axis in capsys.readouterr().err
+        assert not out.exists()
 
     def test_retrieved_target_per_request(self, inputs, tmp_path):
         run_a, _, alignment, _ = inputs

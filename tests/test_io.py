@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -197,6 +199,34 @@ class TestResults:
         back = read_results(path)
         assert sorted(r.sort_key() for r in back) == sorted(r.sort_key() for r in rows)
         assert {r.value for r in back} == {0.125, 2.5}
+
+    def test_round_trip_of_rows_that_vary_every_field(self, tmp_path):
+        varied = dict(
+            system="sysB",
+            request="q7",
+            geometry="wrapped-grid",
+            columns=3,
+            reduction="truncate",
+            base="cascade",
+            adjustment="slow-decay",
+            alpha=0.123456789012,
+            gamma=0.0,
+            beta=2.75,
+            metric="eel",
+            value=1e-9,
+        )
+        assert set(varied) == {f.name for f in dataclasses.fields(ResultsRow)}
+        rows = [sample_row()] + [sample_row(**{name: value}) for name, value in varied.items()]
+        rows.append(sample_row(**varied))
+        path = tmp_path / "r.csv"
+        write_results(rows, path)
+        assert read_results(path) == sorted(rows, key=ResultsRow.sort_key)
+
+    def test_header_is_the_row_fields(self, tmp_path):
+        path = tmp_path / "r.csv"
+        write_results([sample_row()], path)
+        header = path.read_text().split("\n")[0]
+        assert header == ",".join(f.name for f in dataclasses.fields(ResultsRow))
 
     def test_non_finite_value_rejected(self):
         with pytest.raises(MetricError):

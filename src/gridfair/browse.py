@@ -15,6 +15,7 @@ All weights are probabilities: every model clamps to [0, 1].
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,22 +67,15 @@ class BrowsingModelSpec:
             raise ShapeError(f"alpha must be in (0, 1), got {self.alpha}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ShapeError(f"gamma must be in [0, 1], got {self.gamma}")
-        if self.beta < 1.0:
-            raise ShapeError(f"beta must be >= 1, got {self.beta}")
+        if not (math.isfinite(self.beta) and self.beta >= 1.0):
+            raise ShapeError(f"beta must be finite and >= 1, got {self.beta}")
         if not 0.0 <= self.satisfaction <= 1.0:
             raise ShapeError(f"satisfaction must be in [0, 1], got {self.satisfaction}")
         if self.within_row not in WITHIN_ROW_MODES:
             raise ShapeError(f"unknown within-row mode {self.within_row!r}")
-        if self.relevance_cap is not None and self.relevance_cap <= 0:
-            raise ShapeError("relevance cap must be positive")
-
-
-def resolve_cap(spec: BrowsingModelSpec, grades: np.ndarray) -> float:
-    """Grade ceiling used to normalize relevance into [0, 1]."""
-    if spec.relevance_cap is not None:
-        return spec.relevance_cap
-    top = float(np.max(grades)) if np.size(grades) else 0.0
-    return top if top > 0 else 1.0
+        cap = self.relevance_cap
+        if cap is not None and not (math.isfinite(cap) and cap > 0):
+            raise ShapeError(f"relevance cap must be finite and positive, got {cap}")
 
 
 def continuations(grades: np.ndarray, spec: BrowsingModelSpec) -> np.ndarray:
@@ -89,12 +83,17 @@ def continuations(grades: np.ndarray, spec: BrowsingModelSpec) -> np.ndarray:
 
     Geometric browsing continues with constant probability alpha; cascade
     scales it down to alpha * (1 - satisfaction * normalized grade), so a
-    maximally relevant item is the most likely stopping point.
+    maximally relevant item is the most likely stopping point. ``grades``
+    has shape ``(..., n)``: one ranking per row, each normalized by the
+    spec's relevance cap or else by its own largest grade.
     """
     grades = np.asarray(grades, dtype=np.float64)
     if spec.base == GEOMETRIC:
         return np.full(grades.shape, spec.alpha)
-    cap = resolve_cap(spec, grades)
+    cap = spec.relevance_cap
+    if cap is None:
+        top = grades.max(axis=-1, keepdims=True, initial=0.0)
+        cap = np.where(top > 0, top, 1.0)
     capped = np.minimum(grades / cap, 1.0)
     return spec.alpha * (1.0 - spec.satisfaction * capped)
 
@@ -113,15 +112,16 @@ def _grid_continuations(
     return continuations(grades, spec)
 
 
+# The kernels below take continuations of shape (..., n): one ranking per
+# row, all rows sharing the row lengths. Every product runs along the last
+# axis in reading order, so a row gets the same bits alone or in a batch.
+
+
 def _base_weights(cont):
     """w[i] = product of continuation over items strictly before rank i."""
-    n = cont.shape[0]
-    out = np.empty(n)
-    if n == 0:
-        return out
-    out[0] = 1.0
-    if n > 1:
-        np.cumprod(cont[:-1], out=out[1:])
+    out = np.empty(cont.shape)
+    out[..., :1] = 1.0
+    np.cumprod(cont[..., :-1], axis=-1, out=out[..., 1:])
     np.clip(out, 0.0, 1.0, out=out)
     return out
 
@@ -134,29 +134,36 @@ def _row_skip_weights(cont, row_lengths, gamma, prefix):
     the first row is always reached. Within a reached row, ``prefix``
     multiplies in the continuations of the items already passed, while
     full mode charges the whole row's product to every item in it.
+
+    Rows are padded to the widest with continuations of 1.0, which leave
+    every product unchanged, so one cumulative product per row gives the
+    within-row prefixes and one per ranking the scan and skip chances.
     """
-    n = cont.shape[0]
-    out = np.empty(n)
-    scan = 1.0
-    skip = 1.0
-    pos = 0
-    for r in range(row_lengths.shape[0]):
-        ln = int(row_lengths[r])
-        reach = 1.0 if r == 0 else scan + skip
-        row_prod = 1.0
-        if prefix:
-            w = 1.0
-            for j in range(ln):
-                out[pos + j] = reach * w
-                w *= cont[pos + j]
-            row_prod = w
-        else:
-            for j in range(ln):
-                row_prod *= cont[pos + j]
-            out[pos : pos + ln] = reach * row_prod
-        scan *= (1.0 - gamma) * row_prod
-        skip *= gamma
-        pos += ln
+    rows = len(row_lengths)
+    if not rows:
+        return np.empty(cont.shape)
+    width = int(np.max(row_lengths))
+    row_of = np.repeat(np.arange(rows), row_lengths)
+    cell = row_of * width + np.arange(cont.shape[-1]) - np.repeat(
+        np.cumsum(row_lengths) - row_lengths, row_lengths
+    )
+    grid = np.ones((*cont.shape[:-1], rows * width))
+    grid[..., cell] = cont
+    grid = grid.reshape(*cont.shape[:-1], rows, width)
+    prods = np.cumprod(grid, axis=-1)
+    row_prod = prods[..., -1]
+    # Chance of reaching row r + 1 by scanning, and by skipping, rows 0..r.
+    scan = np.cumprod((1.0 - gamma) * row_prod, axis=-1)
+    skip = np.cumprod(np.full(rows, gamma))
+    reach = np.ones(row_prod.shape)
+    reach[..., 1:] = scan[..., :-1] + skip[:-1]
+    if prefix:
+        before = np.ones(grid.shape)
+        before[..., 1:] = prods[..., :-1]
+        weights = (reach[..., None] * before).reshape(*cont.shape[:-1], rows * width)
+        out = np.take(weights, cell, axis=-1)
+    else:
+        out = np.take(reach * row_prod, row_of, axis=-1)
     np.clip(out, 0.0, 1.0, out=out)
     return out
 
@@ -164,29 +171,24 @@ def _row_skip_weights(cont, row_lengths, gamma, prefix):
 def _slow_decay_weights(cont, row_lengths, beta):
     """min(beta**row x plain decayed weight, 1) per item.
 
-    Kept as one running product (boost and continuations interleaved in
-    reading order) so extreme inputs saturate instead of overflowing: a
-    huge boost against a vanishing tail clamps to 1, and a hard-zero
-    continuation zeroes everything after it.
+    One running product over the reading order, the boost multiplied in
+    at the head of every row after the first, so extreme inputs saturate
+    instead of overflowing: a huge boost against a vanishing tail clamps
+    to 1, and a hard-zero continuation zeroes everything after it (the
+    NaN of an infinite boost times zero reads as 0).
     """
-    n = cont.shape[0]
-    out = np.empty(n)
-    v = 1.0
-    pos = 0
-    for r in range(row_lengths.shape[0]):
-        if r > 0:
-            v *= beta
-        for j in range(row_lengths[r]):
-            val = v
-            if val > 1.0:
-                val = 1.0
-            if val < 0.0:
-                val = 0.0
-            out[pos + j] = val
-            v *= cont[pos + j]
-            if v != v:  # inf boost times zero continuation: the zero wins
-                v = 0.0
-        pos += row_lengths[r]
+    heads = np.cumsum(row_lengths) - row_lengths
+    boosts = np.full(len(heads), beta)
+    boosts[:1] = 1.0
+    factors = np.insert(cont, heads, boosts, axis=-1)
+    # Item i's weight is the product just before its own continuation: its
+    # index plus the boosts of the rows up to and including its own, minus 1.
+    before = np.arange(cont.shape[-1]) + np.repeat(np.arange(len(heads)), row_lengths)
+    with np.errstate(over="ignore", invalid="ignore"):
+        running = np.cumprod(factors, axis=-1)
+    out = np.take(running, before, axis=-1)
+    np.fmax(out, 0.0, out=out)
+    np.minimum(out, 1.0, out=out)
     return out
 
 
@@ -194,7 +196,9 @@ def position_weights(
     cont: np.ndarray, row_lengths: np.ndarray, spec: BrowsingModelSpec
 ) -> np.ndarray:
     """Attention weights from the continuations of the displayed items (in
-    reading order) and the lengths of the rows they fill."""
+    reading order, shape ``(..., n)``: one ranking per row) and the lengths
+    of the rows they fill, which all rankings of the batch share."""
+    cont = np.asarray(cont, dtype=np.float64)
     if spec.adjustment == ROW_SKIP:
         return _row_skip_weights(cont, row_lengths, spec.gamma, spec.within_row == "prefix")
     if spec.adjustment == SLOW_DECAY:

@@ -2,18 +2,21 @@
 
 A sweep evaluates every combination of system, layout plan, browsing
 model, and metric, producing one aggregate row per combination (and
-optionally per-request rows). Requests are evaluated one after another
-from arrays built once per request (the union of its sampled documents,
-their grades and membership rows) and once per sweep (layout shapes and
-grade-free attention weights); results are buffered and sorted before
-writing.
+optionally per-request rows). Each run is evaluated as a whole: the
+unions of its requests' sampled documents are concatenated into one
+array of grades and membership rows, and every ranking (and, for EEL,
+every request's ideal ordering) becomes a row of positions into it,
+stacked with the rows of the same length. Per (plan, browsing model) one
+batched pass gives the weights, exposures and scores of all of them;
+layout shapes and grade-free weights are shared by the whole sweep.
+Results are buffered and sorted before writing.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -235,7 +238,8 @@ class _SweepArrays:
 
     def weights(self, pi: int, si: int, shape: _Shape, grades: np.ndarray) -> np.ndarray:
         """Attention on the displayed slots of a shape under spec ``si``;
-        ``grades`` are those of the displayed items, in reading order."""
+        ``grades`` are those of the displayed items, one ranking per row.
+        Grade-free weights come back as one row that serves them all."""
         spec = self.specs[si]
         if not shape_only(spec, self.rel):
             return position_weights(continuations(grades, spec), shape.row_lengths, spec)
@@ -264,9 +268,96 @@ def _spec_label(spec: BrowsingModelSpec) -> str:
     )
 
 
-def _evaluate_request(
+class _Stack(NamedTuple):
+    """Rows of one length: ``paths`` holds the rankings' positions (run
+    indices ``rankings``), then the ideal orderings of ``ideals``."""
+
+    rankings: np.ndarray
+    ideals: np.ndarray
+    paths: np.ndarray
+
+
+class _RunRows:
+    """The requests of one run as stacked arrays.
+
+    ``grades`` and ``members`` concatenate each request's union of sampled
+    documents (sorted). Every ranking is a row of positions into them,
+    numbered in request-major and sample order; for EEL, so is each
+    request's ideal ordering (best grade first, ties by document).
+    """
+
+    def __init__(self, run, requests, table, rel, with_ideals):
+        rankings, ideals, docs, grades = [], [], [], []
+        self.unions, self.tiers = [], []
+        for request in requests:
+            samples = run.rankings[request]
+            union = sorted({doc for ranking in samples for doc in ranking.items})
+            self.unions.append(union)
+            slot_of = {doc: len(docs) + i for i, doc in enumerate(union)}
+            rankings += [
+                np.array([slot_of[doc] for doc in ranking.items], dtype=np.intp)
+                for ranking in samples
+            ]
+            # Without judgments every weight is grade-free and the grades go unused.
+            union_grades = (
+                rel.grades(request, union) if rel is not None else np.zeros(len(union))
+            )
+            if with_ideals:
+                best_first = np.argsort(-union_grades, kind="stable")
+                ideals.append(len(docs) + best_first)
+                self.tiers.append(grade_tiers(union_grades[best_first]))
+            docs += union
+            grades.append(union_grades)
+        self.grades = np.concatenate(grades)
+        self.members = table.matrix(docs)
+        self.n_rankings = len(rankings)
+        self.counts = np.array([len(run.rankings[request]) for request in requests])
+        self.request_of = np.repeat(np.arange(len(requests)), self.counts)
+
+        by_length: dict[int, tuple[list[int], list[int]]] = {}
+        for i, path in enumerate(rankings):
+            by_length.setdefault(len(path), ([], []))[0].append(i)
+        for q, path in enumerate(ideals):
+            by_length.setdefault(len(path), ([], []))[1].append(q)
+        self.stacks = [
+            _Stack(
+                np.array(ranked, dtype=np.intp),
+                np.array(ideal, dtype=np.intp),
+                np.stack([rankings[i] for i in ranked] + [ideals[q] for q in ideal]),
+            )
+            for ranked, ideal in by_length.values()
+        ]
+        # The rankings of the requests with c samples, as (requests, c) indices.
+        starts = np.cumsum(self.counts) - self.counts
+        self.sample_groups = [
+            (qs, starts[qs][:, None] + np.arange(c))
+            for c in np.unique(self.counts).tolist()
+            for qs in [np.flatnonzero(self.counts == c)]
+        ]
+
+    def request_means(self, scores: np.ndarray) -> np.ndarray:
+        """Mean of each request's per-ranking scores."""
+        out = np.empty(len(self.counts))
+        for qs, idx in self.sample_groups:
+            out[qs] = scores[idx].mean(axis=-1)
+        return out
+
+    def request_exposures(self, exposures: np.ndarray) -> np.ndarray:
+        """Each request's mean exposure, summed sample by sample."""
+        out = np.empty((len(self.counts), exposures.shape[-1]))
+        for qs, idx in self.sample_groups:
+            per_sample = exposures[idx]
+            total = per_sample[:, 0].copy()
+            for j in range(1, idx.shape[1]):
+                total += per_sample[:, j]
+            total /= idx.shape[1]
+            out[qs] = total
+        return out
+
+
+def _evaluate_run(
     run: RunFile,
-    request: str,
+    requests: Sequence[str],
     metrics: Sequence[str],
     table: AlignmentTable,
     rel: RelevanceJudgments | None,
@@ -274,69 +365,84 @@ def _evaluate_request(
     delta: DistanceSpec,
     exclude_unknown: bool,
     arrays: _SweepArrays,
-) -> dict[tuple[int, int, str], float]:
-    rankings = run.rankings[request]
-    union = sorted({doc for ranking in rankings for doc in ranking.items})
+) -> dict[str, np.ndarray]:
+    """Per-request values of each metric, shaped (plans, specs, requests).
+
+    An AWRF error is raised as ``plan ..., spec ...: <error>`` for the
+    first (plan, spec) in sweep order that fails on any of the requests.
+    """
+    rows = _RunRows(run, requests, table, rel, "eel" in metrics)
+    sizes = (len(arrays.plans), len(arrays.specs), len(requests))
     if shared_target is None:
-        tgt = population_estimator(PopulationEstimator("retrieved"), table, union)
+        retrieved = PopulationEstimator("retrieved")
+        targets = [population_estimator(retrieved, table, union) for union in rows.unions]
+        target = np.array(targets)[rows.request_of]
     else:
-        tgt = shared_target
-    slot_of = {doc: i for i, doc in enumerate(union)}
-    positions = [
-        np.array([slot_of[doc] for doc in ranking.items], dtype=np.intp)
-        for ranking in rankings
+        target = shared_target
+    awrf_values = np.empty(sizes)
+    system = np.empty((*sizes, table.schema.size))
+    # Per stack, the weights of its ideals' slots by (plan, spec); hidden
+    # slots stay zero.
+    ideal_slots = [
+        np.zeros((len(stack.ideals), *sizes[:2], stack.paths.shape[1])) for stack in rows.stacks
     ]
-    members = table.matrix(union)
-    # Without judgments every weight is grade-free and the grades go unused.
-    grades = rel.grades(request, union) if rel is not None else np.zeros(len(union))
-    if "eel" in metrics:
-        # The ideal policy orders by (-grade, doc); the union is in doc order.
-        best_first = np.argsort(-grades, kind="stable")
-        ideal_grades = grades[best_first]
-        ideal_members = members[best_first]
-        tiers = grade_tiers(ideal_grades)
-    out: dict[tuple[int, int, str], float] = {}
+    exposures = np.empty((rows.n_rankings, table.schema.size))
     for pi, plan in enumerate(arrays.plans):
         shown = []
-        for pos in positions:
-            shape = arrays.shape(pi, len(pos))
-            docs = pos[shape.displayed]
-            shown.append((shape, grades[docs], members[docs]))
-        if "eel" in metrics:
-            ideal_shape = arrays.shape(pi, len(union))
-            ideal_shown = ideal_grades[ideal_shape.displayed]
+        for stack in rows.stacks:
+            shape = arrays.shape(pi, stack.paths.shape[1])
+            docs = stack.paths[:, shape.displayed]
+            mats = rows.members[docs[: len(stack.rankings)]]
+            shown.append((shape, rows.grades[docs], mats))
         for si, spec in enumerate(arrays.specs):
-            try:
-                exposures = [
-                    group_exposure(arrays.weights(pi, si, shape, shown_grades), mat)
-                    for shape, shown_grades, mat in shown
-                ]
-                if "awrf" in metrics:
-                    scores = [
-                        awrf(expo, tgt, delta, table.schema, exclude_unknown)
-                        for expo in exposures
-                    ]
-                    out[(pi, si, "awrf")] = awrf_system(scores)
-                if "eel" in metrics:
-                    system = exposures[0].copy()
-                    for expo in exposures[1:]:
-                        system += expo
-                    system /= len(exposures)
-                    slot_weight = np.zeros(len(union))
-                    slot_weight[ideal_shape.displayed] = arrays.weights(
-                        pi, si, ideal_shape, ideal_shown
-                    )
-                    ideal = ideal_members.T @ tier_means(slot_weight, tiers)
-                    if exclude_unknown:
-                        system = drop_unknown(system, table.schema)
-                        ideal = drop_unknown(ideal, table.schema)
-                    out[(pi, si, "eel")] = eel(system, ideal)
-            except MetricError as exc:
-                raise MetricError(
-                    f"system {run.system!r}, request {request!r}, plan "
-                    f"{_plan_label(plan)}, spec {_spec_label(spec)}: {exc}"
-                ) from exc
+            for stack, (shape, grades, mats), slots in zip(rows.stacks, shown, ideal_slots):
+                weights = arrays.weights(pi, si, shape, grades)
+                weights = np.broadcast_to(weights, grades.shape)
+                n = len(stack.rankings)
+                exposures[stack.rankings] = group_exposure(weights[:n], mats)
+                slots[:, pi, si, shape.displayed] = weights[n:]
+            if "awrf" in metrics:
+                try:
+                    scores = awrf(exposures, target, delta, table.schema, exclude_unknown)
+                except MetricError as exc:
+                    raise MetricError(
+                        f"plan {_plan_label(plan)}, spec {_spec_label(spec)}: {exc}"
+                    ) from exc
+                awrf_values[pi, si] = rows.request_means(scores)
+            if "eel" in metrics:
+                system[pi, si] = rows.request_exposures(exposures)
+    out = {}
+    if "awrf" in metrics:
+        out["awrf"] = awrf_values
+    if "eel" in metrics:
+        ideal = np.empty_like(system)
+        for stack, slots in zip(rows.stacks, ideal_slots):
+            paths = stack.paths[len(stack.rankings) :]
+            for q, path, weights in zip(stack.ideals.tolist(), paths, slots):
+                per_doc = tier_means(weights, rows.tiers[q])
+                ideal[:, :, q] = group_exposure(per_doc, rows.members[path])
+        if exclude_unknown:
+            system = drop_unknown(system, table.schema)
+            ideal = drop_unknown(ideal, table.schema)
+        out["eel"] = eel(system, ideal)
     return out
+
+
+def _run_values(run: RunFile, *args) -> dict[str, np.ndarray]:
+    """:func:`_evaluate_run` over all requests of a run.
+
+    On an error, the requests are evaluated one at a time, so the error
+    names the first failing (request, plan, spec) in request-major order.
+    """
+    try:
+        return _evaluate_run(run, run.requests(), *args)
+    except MetricError:
+        for request in run.requests():
+            try:
+                _evaluate_run(run, [request], *args)
+            except MetricError as exc:
+                raise MetricError(f"system {run.system!r}, request {request!r}, {exc}") from exc
+        raise
 
 
 def measure(config: SweepConfig) -> list[ResultsRow]:
@@ -367,21 +473,8 @@ def measure(config: SweepConfig) -> list[ResultsRow]:
     shared_target = resolve_shared_target(config.target, table)
 
     arrays = _SweepArrays(plans, specs, rel)
-    results = {
-        (ri, request): _evaluate_request(
-            run,
-            request,
-            metrics,
-            table,
-            rel,
-            shared_target,
-            delta,
-            config.exclude_unknown,
-            arrays,
-        )
-        for ri, run in enumerate(runs)
-        for request in run.requests()
-    }
+    args = (metrics, table, rel, shared_target, delta, config.exclude_unknown, arrays)
+    values = [_run_values(run, *args) for run in runs]
 
     rows: list[ResultsRow] = []
     for ri, run in enumerate(runs):
@@ -400,9 +493,7 @@ def measure(config: SweepConfig) -> list[ResultsRow]:
                     spec.beta,
                 )
                 for metric in metrics:
-                    per_request = [
-                        results[(ri, request)][(pi, si, metric)] for request in requests
-                    ]
+                    per_request = values[ri][metric][pi, si].tolist()
                     aggregate = awrf_system(per_request)
                     rows.append(ResultsRow(run.system, "ALL", *layout_model, metric, aggregate))
                     if config.per_request:

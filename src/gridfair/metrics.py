@@ -68,20 +68,22 @@ def group_exposure(attention_weights: np.ndarray, alignment: np.ndarray) -> np.n
 
     ``alignment`` has one row per displayed item (in the same order as the
     attention weights) and one column per group. Hidden items contribute
-    nothing by not appearing.
+    nothing by not appearing. Both may carry leading batch axes, weights
+    ``(..., n)`` against alignments ``(..., n, groups)``; each ranking's
+    exposure is then computed exactly as it would be alone.
     """
-    att = np.asarray(attention_weights, dtype=np.float64)
-    mat = np.asarray(alignment, dtype=np.float64)
-    if mat.ndim != 2:
+    # C order fixes the summation order of the product, whatever the layout
+    # of the caller's arrays.
+    att = np.ascontiguousarray(attention_weights, dtype=np.float64)
+    mat = np.ascontiguousarray(alignment, dtype=np.float64)
+    if mat.ndim < 2:
         raise ShapeError("alignment must be a 2-d matrix")
-    if att.shape[0] != mat.shape[0]:
+    if att.shape[-1:] != mat.shape[-2:-1]:
         raise ShapeError(
-            f"attention has {att.shape[0]} entries but alignment has "
-            f"{mat.shape[0]} rows"
+            f"attention has {att.shape[-1]} entries but alignment has "
+            f"{mat.shape[-2]} rows"
         )
-    if att.shape[0] == 0:
-        return np.zeros(mat.shape[1])
-    return mat.T @ att
+    return np.matmul(np.swapaxes(mat, -1, -2), att[..., None])[..., 0]
 
 
 def population_estimator(
@@ -124,7 +126,7 @@ def population_estimator(
 
 def drop_unknown(values: np.ndarray, schema: GroupSchema) -> np.ndarray:
     """Remove the unknown-group coordinate (no renormalization)."""
-    return np.delete(np.asarray(values, dtype=np.float64), schema.unknown_index)
+    return np.delete(np.asarray(values, dtype=np.float64), schema.unknown_index, axis=-1)
 
 
 def awrf(
@@ -133,35 +135,51 @@ def awrf(
     delta: DistanceSpec,
     schema: GroupSchema,
     exclude_unknown: bool = False,
-) -> float:
+) -> float | np.ndarray:
     """Distance between normalized group-exposure shares and the target.
 
     Zero means parity for the l1/l2 variants. The signed variant requires
     exactly two non-unknown groups and reports protected share minus
     target protected share (positive = over-exposed).
+
+    ``exposure`` may be a batch ``(..., groups)`` scored against one
+    target or a matching batch of targets; it gives an array of scores,
+    each equal to its row scored alone. A batch fails with the error its
+    first failing row would raise.
     """
     expo = np.asarray(exposure, dtype=np.float64)
     tgt = np.asarray(target, dtype=np.float64)
-    if expo.shape != (schema.size,) or tgt.shape != (schema.size,):
+    if expo.shape[-1:] != (schema.size,) or tgt.shape[-1:] != (schema.size,):
         raise ShapeError("exposure and target must have one entry per group")
     names = schema.names
     if exclude_unknown:
         expo = drop_unknown(expo, schema)
         tgt = drop_unknown(tgt, schema)
         names = tuple(n for n in schema.names if n != UNKNOWN_GROUP)
-        tgt_total = float(tgt.sum())
-        if tgt_total <= 0:
+        tgt_total = tgt.sum(axis=-1, keepdims=True)
+        if np.any(tgt_total <= 0):
             raise MetricError("target has no mass outside the unknown group")
         tgt = tgt / tgt_total
-    total = float(expo.sum())
-    if total <= 0:
+    total = expo.sum(axis=-1, keepdims=True)
+    empty = total <= 0
+    # Each row checks its exposure before the distance, so the distance's
+    # own errors only come first when the first row has exposure.
+    if delta.kind == "signed-two-group" and not empty.flat[:1].any():
+        protected = _protected_index(delta, names)
+    if empty.any():
         raise MetricError("undefined exposure: no group received any attention")
-    shares = expo / total
-    diff = shares - tgt
+    diff = expo / total - tgt
     if delta.kind == "l1":
-        return float(np.abs(diff).sum())
-    if delta.kind == "l2":
-        return float(np.sqrt(np.square(diff).sum()))
+        scores = np.abs(diff).sum(axis=-1)
+    elif delta.kind == "l2":
+        scores = np.sqrt(np.square(diff).sum(axis=-1))
+    else:
+        scores = diff[..., protected]
+    return float(scores) if scores.ndim == 0 else scores
+
+
+def _protected_index(delta: DistanceSpec, names: tuple[str, ...]) -> int:
+    """Column of the protected group for the signed distance."""
     non_unknown = [n for n in names if n != UNKNOWN_GROUP]
     if len(non_unknown) != 2:
         raise MetricError(
@@ -170,7 +188,7 @@ def awrf(
     protected = delta.protected if delta.protected is not None else non_unknown[0]
     if protected not in names:
         raise MetricError(f"protected group {protected!r} not in schema")
-    return float(diff[names.index(protected)])
+    return names.index(protected)
 
 
 def awrf_system(per_request_scores: Sequence[float]) -> float:
@@ -228,10 +246,11 @@ def grade_tiers(grades: np.ndarray) -> list[tuple[int, int]]:
 
 def tier_means(slot_weight: np.ndarray, tiers: Sequence[tuple[int, int]]) -> np.ndarray:
     """Per-document ideal attention: every document of a grade tier gets
-    the mean weight of the tier's slots (hidden slots weigh zero)."""
-    per_doc = np.empty(len(slot_weight))
+    the mean weight of the tier's slots (hidden slots weigh zero). Slot
+    weights may be a batch ``(..., n)`` over one tiering."""
+    per_doc = np.empty(np.shape(slot_weight))
     for start, end in tiers:
-        per_doc[start:end] = slot_weight[start:end].mean()
+        per_doc[..., start:end] = slot_weight[..., start:end].mean(axis=-1, keepdims=True)
     return per_doc
 
 
@@ -255,8 +274,9 @@ def system_exposure(
     return total / len(rankings)
 
 
-def eel(system: np.ndarray, target: np.ndarray) -> float:
-    """Squared Euclidean distance between system and target exposure."""
+def eel(system: np.ndarray, target: np.ndarray) -> float | np.ndarray:
+    """Squared Euclidean distance between system and target exposure; for
+    batches ``(..., groups)``, one distance per row."""
     sys_vec = np.asarray(system, dtype=np.float64)
     tgt_vec = np.asarray(target, dtype=np.float64)
     if sys_vec.shape != tgt_vec.shape:
@@ -265,4 +285,5 @@ def eel(system: np.ndarray, target: np.ndarray) -> float:
             f"{sys_vec.shape} vs {tgt_vec.shape}"
         )
     diff = sys_vec - tgt_vec
-    return float(diff @ diff)
+    distance = np.matmul(diff[..., None, :], diff[..., :, None])[..., 0, 0]
+    return float(distance) if distance.ndim == 0 else distance

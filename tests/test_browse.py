@@ -194,6 +194,16 @@ class TestDispatchAndSpec:
         with pytest.raises(ShapeError):
             BrowsingModelSpec(within_row="suffix")
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_beta_rejected(self, value):
+        with pytest.raises(ShapeError, match="beta must be finite"):
+            BrowsingModelSpec(beta=value)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_relevance_cap_rejected(self, value):
+        with pytest.raises(ShapeError, match="relevance cap must be finite"):
+            BrowsingModelSpec(relevance_cap=value)
+
     def test_relevance_cap_default_is_max_observed(self):
         grid = wrap(make_ranking(3), 1)
         rel = make_judgments("q1", {"d0": 4.0, "d1": 2.0})

@@ -307,6 +307,47 @@ class TestMeasureCommand:
         )
         assert not out.exists()
 
+    def test_metric_error_names_the_first_failing_request(self, tmp_path, capsys):
+        """q1 fails only under the truncated plan and q2 under every plan: the
+        error names q1, the first request in request-major order, not q2,
+        which fails first in plan order."""
+        run = tmp_path / "a.run"
+        run.write_text(
+            "q1 0 dX 0 4.0 s\nq1 0 d1 1 3.0 s\nq1 0 dY 2 2.0 s\nq1 0 d2 3 1.0 s\n"
+            "q2 0 dZ 0 1.0 s\n",
+            encoding="utf-8",
+        )
+        alignment = tmp_path / "align.tsv"
+        alignment.write_text("d0\tA\t1\nd1\tB\t1\nd2\tA\t1\nd3\tB\t1\n", encoding="utf-8")
+        out = tmp_path / "res.csv"
+        code = main(
+            [
+                "measure", "--run", str(run), "--alignment", str(alignment),
+                "--geometry", "wrapped-grid:2", "--reduction", "truncate",
+                "--columns", "1", "--base-columns", "2", "--exclude-unknown",
+                "--output", str(out),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: system 's', request 'q1', plan wrapped-grid:1 (truncate from 2), "
+            "spec geometric/none alpha=0.5 gamma=0.5 beta=1.9: "
+            "undefined exposure: no group received any attention\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("beta", ["nan", "inf"])
+    def test_non_finite_beta_is_config_error_before_parsing(
+        self, inputs, tmp_path, capsys, beta
+    ):
+        out = tmp_path / "res.csv"
+        args = self.base_args(inputs, out, ("--adjust", "slow-decay", "--beta", beta))
+        # a missing input would exit 2, so exit 1 shows nothing was parsed
+        args[args.index("--alignment") + 1] = str(tmp_path / "missing.tsv")
+        assert main(args) == 1
+        assert f"beta must be finite and >= 1, got {beta}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_finite_grade_is_parse_error(self, inputs, tmp_path, capsys):
         _, _, _, qrels = inputs
         lineno = len(qrels.read_text().splitlines()) + 1

@@ -23,6 +23,13 @@ GOLDEN = {
     "column-reduction.yaml": "f207e47cfb49bb539a51d0f20870f97536c37db76a9d3ef6d86e9f4e81a32937",
     "layout-comparison.yaml": "cc698fa43837e15e62d40a7e1e2826aac081a002de7f9d736e27974809bd5432",
 }
+# The same sweeps with a per-request target, the l2 distance and the unknown
+# group left out, on a fixture whose requests differ in sample count (sample
+# 2 of q1 is dropped from sysA). Pinned from the request-at-a-time sweep.
+GOLDEN_RETRIEVED = {
+    "column-reduction.yaml": "3aa81d245e6988192f26385290703a208a647aa49fb987cb61aa3b433e530bbf",
+    "layout-comparison.yaml": "97da8aa1efa6cfa8f825937243edb21f2a1adeb2d83a017f299f5e81f9cba193",
+}
 
 
 def write_fixture(root: Path, seed: int = 20231):
@@ -76,6 +83,21 @@ def test_results_csv_is_byte_identical(config, tmp_path):
     assert main(measure_argv(tmp_path, config)) == 0
     digest = hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest()
     assert digest == GOLDEN[config]
+
+
+@pytest.mark.parametrize("config", sorted(GOLDEN_RETRIEVED))
+def test_uneven_samples_retrieved_target_csv_is_byte_identical(config, tmp_path):
+    argv = measure_argv(tmp_path, config)
+    run = tmp_path / "sysA.run"
+    kept = [
+        line for line in run.read_text(encoding="utf-8").splitlines()
+        if line.split()[:2] != ["q1", "2"]
+    ]
+    run.write_text("\n".join(kept) + "\n", encoding="utf-8")
+    argv += ["--target", "retrieved", "--delta", "l2", "--exclude-unknown"]
+    assert main(argv) == 0
+    digest = hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest()
+    assert digest == GOLDEN_RETRIEVED[config]
 
 
 @pytest.mark.parametrize("config", sorted(GOLDEN))

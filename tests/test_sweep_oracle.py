@@ -1,10 +1,10 @@
 """Property test: every per-request row of ``measure`` equals the per-ranking
-reference path.
+reference path, float for float.
 
 The reference renders each sampled ranking with ``RenderPlan.render``,
 weighs it with ``attention``, aggregates with ``group_exposure`` and scores
 with ``awrf``; for EEL it uses ``system_exposure`` and ``target_exposure``.
-None of it goes through the sweep's shared per-request arrays.
+None of it goes through the sweep's stacked run-level arrays.
 """
 
 import tempfile
@@ -34,7 +34,6 @@ from gridfair import (
 from gridfair.layout import parse_geometry
 from gridfair.metrics import drop_unknown
 
-TOLERANCE = 1e-12
 DOCS = [f"d{i}" for i in range(10)]
 REQUESTS = ["q1", "q2"]
 # None leaves a document unlabeled; "mixed" splits it between A and B.
@@ -185,7 +184,7 @@ def _check_sweep(alignment, runs, qrels, axes):
             want = awrf_system([expected[(request, *key)] for request in requests])
         else:
             want = expected[(row.request, *key)]
-        assert abs(row.value - want) <= TOLERANCE, (row, want)
+        assert row.value == want, (row, want)
 
 
 @settings(

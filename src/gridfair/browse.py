@@ -98,18 +98,14 @@ def continuations(grades: np.ndarray, spec: BrowsingModelSpec) -> np.ndarray:
     return spec.alpha * (1.0 - spec.satisfaction * capped)
 
 
-def shape_only(spec: BrowsingModelSpec, rel: RelevanceJudgments | None) -> bool:
-    """True when the weights depend on the layout alone, not on grades."""
-    return spec.base == GEOMETRIC or rel is None
-
-
 def _grid_continuations(
     grid: GridLayout, rel: RelevanceJudgments | None, spec: BrowsingModelSpec
 ) -> np.ndarray:
-    if shape_only(spec, rel):
-        return np.full(grid.n_displayed, spec.alpha)
-    grades = rel.grades(grid.origin.request, grid.items)
-    return continuations(grades, spec)
+    """Continuations of a grid's displayed items; without judgments every
+    grade is 0."""
+    if rel is None:
+        return continuations(np.zeros(grid.n_displayed), spec)
+    return continuations(rel.grades(grid.origin.request, grid.items), spec)
 
 
 # The kernels below take continuations of shape (..., n): one ranking per

@@ -32,6 +32,7 @@ from .harness import (
     compare_orderings,
     measure,
     resolve_shared_target,
+    split_target,
 )
 from .io import parse_alignment, parse_run, read_results, write_run
 from .layout import VERTICAL, WRAPPED_GRID, RenderPlan, parse_geometry
@@ -168,10 +169,12 @@ def _cmd_measure(args) -> int:
 
 
 def _cmd_rerank(args) -> int:
+    target = args.target or "catalog"
+    split_target(target)
     run = parse_run(args.run)
     table = parse_alignment(args.alignment)
     browsing = _browsing_spec_from_args(args)
-    shared = resolve_shared_target(args.target or "catalog", table)
+    shared = resolve_shared_target(target, table)
     reranked = []
     for request in run.requests():
         for ranking in run.rankings[request]:

@@ -7,9 +7,9 @@ unions of its requests' sampled documents are concatenated into one
 array of grades and membership rows, and every ranking (and, for EEL,
 every request's ideal ordering) becomes a row of positions into it,
 stacked with the rows of the same length. Per (plan, browsing model) one
-batched pass gives the weights, exposures and scores of all of them;
-layout shapes and grade-free weights are shared by the whole sweep.
-Results are buffered and sorted before writing.
+batched pass gives the weights, from the grades of the displayed items,
+then the exposures and scores of all of them. Results are buffered and
+sorted before writing.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .browse import (
     attention,  # unused here; perfbench/tracer.py wraps this name
     continuations,
     position_weights,
-    shape_only,
 )
 from .core import AlignmentTable, Ranking, RelevanceJudgments
 from .errors import ConfigError, MetricError
@@ -87,8 +86,7 @@ class SweepConfig:
     exclude_unknown: bool = False
     per_request: bool = False
     # Accepted and validated so existing ``--jobs`` callers keep working;
-    # the sweep always runs serially: its per-request work is GIL-bound
-    # Python, which threads do not speed up.
+    # the sweep runs serially, as one batched pass per run.
     jobs: int = 1
     output: str | None = None
 
@@ -112,9 +110,7 @@ class SweepConfig:
             raise ConfigError("reductions requested but no column sizes given")
         if not self.geometries and not self.reductions:
             raise ConfigError("no layouts to measure: give geometries or reductions")
-        mode = self.target.split(":", 1)[0]
-        if mode not in ESTIMATOR_MODES:
-            raise ConfigError(f"unknown target estimator {self.target!r}")
+        split_target(self.target)
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
         if self.output is None:
@@ -179,78 +175,38 @@ class SweepConfig:
         return DistanceSpec(kind=kind, protected=self.protected)
 
 
+def split_target(target: str) -> tuple[str, str | None]:
+    """The estimator of a target token and, for ``fixed:<path>``, its path.
+    Only ``fixed`` takes a suffix."""
+    mode, colon, path = target.partition(":")
+    if mode not in ESTIMATOR_MODES:
+        raise ConfigError(f"unknown target estimator {target!r}")
+    if mode == "fixed" and not path:
+        raise ConfigError("fixed target needs a path: fixed:<path>")
+    if mode != "fixed" and colon:
+        raise ConfigError(f"target estimator {mode!r} takes no suffix, got {target!r}")
+    return mode, path or None
+
+
 def resolve_shared_target(target: str, table: AlignmentTable) -> np.ndarray | None:
     """Target distribution shared by all requests, or None when the
     estimator depends on each request's retrieved set."""
-    mode = target.split(":", 1)[0]
+    mode, path = split_target(target)
     if mode == "retrieved":
         return None
     if mode == "fixed":
-        if ":" not in target:
-            raise ConfigError("fixed target needs a path: fixed:<path>")
-        fixed = parse_fixed_target(target.split(":", 1)[1], table.schema)
+        fixed = parse_fixed_target(path, table.schema)
         return population_estimator(PopulationEstimator("fixed", fixed), table)
-    if mode not in ("uniform", "catalog"):
-        raise ConfigError(f"unknown target estimator {target!r}")
     return population_estimator(PopulationEstimator(mode), table)
 
 
-@dataclass(frozen=True)
-class _Shape:
-    """Where a plan puts every ranking of ``length`` items: the 0-based ranks
-    it displays, in reading order, and the lengths of the rows they fill."""
-
-    length: int
-    displayed: np.ndarray
-    row_lengths: np.ndarray
-
-
-class _SweepArrays:
-    """Layout shapes and grade-free attention weights of one sweep.
-
-    A plan places items by rank alone, so all rankings of one length share
-    a shape, and weights that ignore grades are shared by every ranking of
-    that shape, system output and ideal alike.
-    """
-
-    def __init__(
-        self,
-        plans: Sequence[RenderPlan],
-        specs: Sequence[BrowsingModelSpec],
-        rel: RelevanceJudgments | None,
-    ):
-        self.plans = plans
-        self.specs = specs
-        self.rel = rel
-        self._shapes: dict[tuple[int, int], _Shape] = {}
-        self._weights: dict[tuple[int, int, int], np.ndarray] = {}
-
-    def shape(self, pi: int, length: int) -> _Shape:
-        """Shape of plan ``pi``, found by rendering a synthetic ranking."""
-        shape = self._shapes.get((pi, length))
-        if shape is None:
-            synthetic = Ranking("synthetic", 0, tuple(str(i) for i in range(length)))
-            grid = self.plans[pi].render(synthetic)
-            displayed = np.array([int(doc) for doc in grid.items], dtype=np.intp)
-            shape = _Shape(length, displayed, grid.row_lengths)
-            self._shapes[(pi, length)] = shape
-        return shape
-
-    def weights(self, pi: int, si: int, shape: _Shape, grades: np.ndarray) -> np.ndarray:
-        """Attention on the displayed slots of a shape under spec ``si``;
-        ``grades`` are those of the displayed items, one ranking per row.
-        Grade-free weights come back as one row that serves them all."""
-        spec = self.specs[si]
-        if not shape_only(spec, self.rel):
-            return position_weights(continuations(grades, spec), shape.row_lengths, spec)
-        key = (pi, si, shape.length)
-        weights = self._weights.get(key)
-        if weights is None:
-            cont = np.full(len(shape.displayed), spec.alpha)
-            weights = position_weights(cont, shape.row_lengths, spec)
-            weights.flags.writeable = False
-            self._weights[key] = weights
-        return weights
+def _shape(plan: RenderPlan, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where ``plan`` puts every ranking of ``length`` items, found by
+    rendering a synthetic ranking: the 0-based ranks it displays, in reading
+    order, and the lengths of the rows they fill."""
+    synthetic = Ranking("synthetic", 0, tuple(str(i) for i in range(length)))
+    grid = plan.render(synthetic)
+    return np.array([int(doc) for doc in grid.items], dtype=np.intp), grid.row_lengths
 
 
 def _plan_label(plan: RenderPlan) -> str:
@@ -298,7 +254,8 @@ class _RunRows:
                 np.array([slot_of[doc] for doc in ranking.items], dtype=np.intp)
                 for ranking in samples
             ]
-            # Without judgments every weight is grade-free and the grades go unused.
+            # Without judgments every grade is 0: cascade then continues with
+            # alpha everywhere, as geometric does.
             union_grades = (
                 rel.grades(request, union) if rel is not None else np.zeros(len(union))
             )
@@ -364,7 +321,8 @@ def _evaluate_run(
     shared_target: np.ndarray | None,
     delta: DistanceSpec,
     exclude_unknown: bool,
-    arrays: _SweepArrays,
+    plans: Sequence[RenderPlan],
+    specs: Sequence[BrowsingModelSpec],
 ) -> dict[str, np.ndarray]:
     """Per-request values of each metric, shaped (plans, specs, requests).
 
@@ -372,7 +330,7 @@ def _evaluate_run(
     first (plan, spec) in sweep order that fails on any of the requests.
     """
     rows = _RunRows(run, requests, table, rel, "eel" in metrics)
-    sizes = (len(arrays.plans), len(arrays.specs), len(requests))
+    sizes = (len(plans), len(specs), len(requests))
     if shared_target is None:
         retrieved = PopulationEstimator("retrieved")
         targets = [population_estimator(retrieved, table, union) for union in rows.unions]
@@ -387,20 +345,21 @@ def _evaluate_run(
         np.zeros((len(stack.ideals), *sizes[:2], stack.paths.shape[1])) for stack in rows.stacks
     ]
     exposures = np.empty((rows.n_rankings, table.schema.size))
-    for pi, plan in enumerate(arrays.plans):
+    for pi, plan in enumerate(plans):
         shown = []
         for stack in rows.stacks:
-            shape = arrays.shape(pi, stack.paths.shape[1])
-            docs = stack.paths[:, shape.displayed]
+            displayed, row_lengths = _shape(plan, stack.paths.shape[1])
+            docs = stack.paths[:, displayed]
             mats = rows.members[docs[: len(stack.rankings)]]
-            shown.append((shape, rows.grades[docs], mats))
-        for si, spec in enumerate(arrays.specs):
-            for stack, (shape, grades, mats), slots in zip(rows.stacks, shown, ideal_slots):
-                weights = arrays.weights(pi, si, shape, grades)
-                weights = np.broadcast_to(weights, grades.shape)
+            shown.append((displayed, row_lengths, rows.grades[docs], mats))
+        for si, spec in enumerate(specs):
+            for stack, (displayed, row_lengths, grades, mats), slots in zip(
+                rows.stacks, shown, ideal_slots
+            ):
+                weights = position_weights(continuations(grades, spec), row_lengths, spec)
                 n = len(stack.rankings)
                 exposures[stack.rankings] = group_exposure(weights[:n], mats)
-                slots[:, pi, si, shape.displayed] = weights[n:]
+                slots[:, pi, si, displayed] = weights[n:]
             if "awrf" in metrics:
                 try:
                     scores = awrf(exposures, target, delta, table.schema, exclude_unknown)
@@ -472,8 +431,7 @@ def measure(config: SweepConfig) -> list[ResultsRow]:
     delta = config.distance()
     shared_target = resolve_shared_target(config.target, table)
 
-    arrays = _SweepArrays(plans, specs, rel)
-    args = (metrics, table, rel, shared_target, delta, config.exclude_unknown, arrays)
+    args = (metrics, table, rel, shared_target, delta, config.exclude_unknown, plans, specs)
     values = [_run_values(run, *args) for run in runs]
 
     rows: list[ResultsRow] = []

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .browse import BrowsingModelSpec, attention, continuations
+from .browse import BrowsingModelSpec, attention, continuations, position_weights
 from .core import AlignmentTable, Ranking
 from .errors import MetricError
 from .layout import wrap
@@ -92,7 +92,6 @@ def greedy_rerank(
 
     remaining = sorted(range(n), key=lambda i: (-scores[i], i))
     exposure = np.zeros(schema.size)
-    weight = 1.0
     order: list[int] = []
     for _ in range(n):
         candidates = remaining if spec.pool is None else remaining[: spec.pool]
@@ -108,8 +107,10 @@ def greedy_rerank(
                 best_key, pick = key, i
         remaining.remove(pick)
         order.append(pick)
-        exposure = exposure + weight * vectors[pick]
-        weight *= float(cont[pick])
+        # The placed items as a vertical list: one item per row. A weight
+        # depends on the items up to its own, so the last is final.
+        weights = position_weights(cont[order], np.ones(len(order), dtype=np.intp), spec.browsing)
+        exposure = exposure + weights[-1] * vectors[pick]
 
     reranked = Ranking(
         request=ranking.request,

@@ -301,10 +301,14 @@ def test_c10_reranker_properties():
         if after <= before + 1e-12:
             improved += 1
         if n <= 7:
-            best = min(
-                _awrf_of(wrap(Ranking("q1", 0, perm), 1), table, BrowsingModelSpec(), target)
-                for perm in itertools.permutations(ranking.items)
+            # Every permutation shares the list's weights; each batched row
+            # scores exactly as that permutation would alone.
+            weights = attention(wrap(ranking, 1), None, BrowsingModelSpec())
+            perms = np.array(list(itertools.permutations(range(n))))
+            expo = group_exposure(
+                np.broadcast_to(weights, perms.shape), table.matrix(ranking.items)[perms]
             )
+            best = awrf(expo, target, L1, table.schema).min()
             if before <= best + 1e-12:
                 # input already optimal: re-ranking must not lose the optimum
                 assert after <= best + 1e-9

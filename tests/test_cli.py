@@ -348,6 +348,25 @@ class TestMeasureCommand:
         assert f"beta must be finite and >= 1, got {beta}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "target, message",
+        [
+            ("fixed", "fixed target needs a path: fixed:<path>"),
+            ("catalog:whatever", "target estimator 'catalog' takes no suffix"),
+            ("retrieved:", "target estimator 'retrieved' takes no suffix"),
+        ],
+    )
+    def test_bad_target_token_is_config_error_before_parsing(
+        self, inputs, tmp_path, capsys, target, message
+    ):
+        out = tmp_path / "res.csv"
+        args = self.base_args(inputs, out, ("--target", target))
+        # a missing input would exit 2, so exit 1 shows nothing was parsed
+        args[args.index("--alignment") + 1] = str(tmp_path / "missing.tsv")
+        assert main(args) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_finite_grade_is_parse_error(self, inputs, tmp_path, capsys):
         _, _, _, qrels = inputs
         lineno = len(qrels.read_text().splitlines()) + 1
@@ -609,6 +628,30 @@ class TestRerankCommand:
         )
         assert code == 1
         assert f"error: re-rank pool must be at least 1, got {pool}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize(
+        "target, message",
+        [
+            ("fixed", "fixed target needs a path: fixed:<path>"),
+            ("uniform:junk", "target estimator 'uniform' takes no suffix"),
+        ],
+    )
+    def test_bad_target_token_is_usage_error_before_parsing(
+        self, tmp_path, capsys, target, message
+    ):
+        out = tmp_path / "out.run"
+        code = main(
+            [
+                "rerank", "--run", str(tmp_path / "missing.run"),
+                "--alignment", str(tmp_path / "missing.tsv"),
+                "--output", str(out), "--target", target,
+            ]
+        )
+        # a missing input would exit 2, so exit 1 shows nothing was parsed
+        assert code == 1
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -31,6 +31,11 @@ GOLDEN_RETRIEVED = {
     "layout-comparison.yaml": "97da8aa1efa6cfa8f825937243edb21f2a1adeb2d83a017f299f5e81f9cba193",
 }
 
+# layout-comparison.yaml without judgments (so without EEL): geometric and
+# cascade under every adjustment. Pinned from the sweep that kept grade-free
+# weights apart from the graded ones.
+GOLDEN_NO_QRELS = "347c5ccd34a43fb9b157a76dcaa0cd5e952d143efc32ffd8df460708d5ed74d1"
+
 
 def write_fixture(root: Path, seed: int = 20231):
     """300 documents in three groups (some mixed, ~10 % unlabeled), two
@@ -98,6 +103,24 @@ def test_uneven_samples_retrieved_target_csv_is_byte_identical(config, tmp_path)
     assert main(argv) == 0
     digest = hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest()
     assert digest == GOLDEN_RETRIEVED[config]
+
+
+def test_no_judgments_csv_is_byte_identical(tmp_path):
+    argv = measure_argv(tmp_path, "layout-comparison.yaml")
+    at = argv.index("--qrels")
+    del argv[at : at + 2]
+    assert main(argv) == 0
+    data = (tmp_path / "results.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == GOLDEN_NO_QRELS
+    # Without grades cascade continues with alpha everywhere, as geometric does.
+    with open(tmp_path / "results.csv", encoding="utf-8", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    values = {tuple(row.values())[:-1]: row["value"] for row in rows}
+    cascade = [key for key in values if key[5] == "cascade"]
+    assert len(cascade) == len(rows) // 2
+    for key in cascade:
+        twin = key[:5] + ("geometric",) + key[6:]
+        assert values[key] == values[twin]
 
 
 @pytest.mark.parametrize("config", sorted(GOLDEN))

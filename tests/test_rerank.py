@@ -120,6 +120,20 @@ class TestGreedyRerank:
         )
         assert sorted(out.items) == ["A", "B", "C"]
 
+    def test_greedy_weights_follow_the_adjustment(self):
+        """Slow decay boosts later positions, so the second B item waits one
+        place longer than under plain geometric decay."""
+        table = make_table({f"d{i}": "B" if i < 2 else "A" for i in range(8)})
+        ranking = Ranking(
+            "q1", 0, tuple(f"d{i}" for i in range(8)), scores=tuple(range(8, 0, -1))
+        )
+        target = np.array([0.5, 0.5, 0.0])
+        slow = BrowsingModelSpec(adjustment="slow-decay", beta=3.0)
+        plain = greedy_rerank(ranking, table, RerankSpec(target=target))
+        adjusted = greedy_rerank(ranking, table, RerankSpec(target=target, browsing=slow))
+        assert plain.items[:4] == ("d2", "d0", "d1", "d3")
+        assert adjusted.items == ("d2", "d0", "d3", "d1", "d4", "d5", "d6", "d7")
+
     def test_bad_target_rejected(self):
         table = make_table({"A": "g0"})
         ranking = Ranking("q1", 0, ("A",))

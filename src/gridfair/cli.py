@@ -169,12 +169,11 @@ def _cmd_measure(args) -> int:
 
 
 def _cmd_rerank(args) -> int:
-    target = args.target or "catalog"
-    split_target(target)
+    split_target(args.target)
     run = parse_run(args.run)
     table = parse_alignment(args.alignment)
     browsing = _browsing_spec_from_args(args)
-    shared = resolve_shared_target(target, table)
+    shared = resolve_shared_target(args.target, table)
     reranked = []
     for request in run.requests():
         for ranking in run.rankings[request]:

@@ -7,7 +7,8 @@ threads. Group membership is a distribution over named groups; a reserved
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -138,29 +139,29 @@ class AlignmentTable:
         except (TypeError, ValueError):  # ragged or non-numeric vectors
             raw = None
         if raw is None or raw.shape != (len(docs), schema.size):
-            bad = docs
-        else:
-            total = raw.sum(axis=1)
-            invalid = (
-                ~np.isfinite(raw).all(axis=1)
-                | (raw < 0.0).any(axis=1)
-                | (raw > 1.0).any(axis=1)
-                | (np.abs(total - 1.0) > NORMALIZE_TOLERANCE)
-            )
-            bad = [docs[i] for i in np.flatnonzero(invalid)]
-        for doc in bad:
-            vec = normalize_weights(weights[doc])
-            if vec.size != schema.size:
-                raise ShapeError(
-                    f"alignment vector for {doc!r} has {vec.size} entries, "
-                    f"schema has {schema.size} groups"
-                )
+            for doc in docs:
+                _check_vector(doc, weights[doc], schema)
+            raw = np.empty((0, schema.size))  # reached by an empty mapping alone
+        return cls.from_rows(schema, docs, raw)
+
+    @classmethod
+    def from_rows(cls, schema: GroupSchema, docs: Sequence[str], raw: np.ndarray) -> "AlignmentTable":
+        """Table whose document ``docs[i]`` has the membership vector
+        ``raw[i]``, with the checks and normalization of :meth:`from_weights`."""
+        total = raw.sum(axis=1)
+        invalid = (
+            ~np.isfinite(raw).all(axis=1)
+            | (raw < 0.0).any(axis=1)
+            | (raw > 1.0).any(axis=1)
+            | (np.abs(total - 1.0) > NORMALIZE_TOLERANCE)
+        )
+        for i in np.flatnonzero(invalid).tolist():
+            _check_vector(docs[i], raw[i], schema)
         matrix = np.empty((len(docs) + 1, schema.size))
-        if docs:
-            np.divide(raw, total[:, None], out=matrix[:-1])
+        np.divide(raw, total[:, None], out=matrix[:-1])
         matrix[-1] = schema.unknown_vector()
         matrix.flags.writeable = False
-        return cls(schema, {doc: i for i, doc in enumerate(docs)}, matrix)
+        return cls(schema, dict(zip(docs, range(len(docs)))), matrix)
 
     def __contains__(self, doc: str) -> bool:
         return doc in self._rows
@@ -177,37 +178,122 @@ class AlignmentTable:
     def matrix(self, items: Sequence[str]) -> np.ndarray:
         """Membership matrix (one row per item, one column per group)."""
         rows = self._rows
-        unknown = len(rows)
-        index = np.fromiter(
-            (rows.get(doc, unknown) for doc in items), dtype=np.intp, count=len(items)
-        )
+        unknown = repeat(len(rows), len(items))
+        index = np.fromiter(map(rows.get, items, unknown), dtype=np.intp, count=len(items))
         return self._matrix[index]
 
 
-@dataclass(frozen=True)
+def _check_vector(doc: str, weights: Sequence[float], schema: GroupSchema) -> None:
+    """Raise the error a document's membership vector fails on, if any."""
+    vec = normalize_weights(weights)
+    if vec.size != schema.size:
+        raise ShapeError(
+            f"alignment vector for {doc!r} has {vec.size} entries, "
+            f"schema has {schema.size} groups"
+        )
+
+
 class RelevanceJudgments:
-    """Graded relevance per (request, document); absent pairs read as 0."""
+    """Graded relevance per (request, document); absent pairs read as 0.
 
-    _grades: Mapping[tuple[str, str], float] = field(default_factory=dict)
+    Held as columns: the sorted names of the judged requests and of the
+    judged documents, and each judgment as a (request, document) key with
+    its grade, sorted by key. A request's judgments are thus one slice,
+    sorted by document, and its largest grade is precomputed.
+    """
 
-    def __post_init__(self):
-        for key, grade in self._grades.items():
-            if grade < 0:
-                raise ShapeError(f"negative relevance grade for {key}: {grade}")
+    def __init__(self, grades: Mapping[tuple[str, str], float] | None = None):
+        """Judgments from a ``{(request, document): grade}`` mapping."""
+        grades = {} if grades is None else grades
+        requests = sorted({request for request, _ in grades})
+        docs = sorted({doc for _, doc in grades})
+        request_code = {name: i for i, name in enumerate(requests)}
+        doc_code = {name: i for i, name in enumerate(docs)}
+        self._init(
+            requests,
+            docs,
+            np.array([request_code[request] for request, _ in grades], dtype=np.int64),
+            np.array([doc_code[doc] for _, doc in grades], dtype=np.int64),
+            np.array(list(grades.values()), dtype=np.float64),
+        )
+
+    @classmethod
+    def from_columns(
+        cls,
+        requests: Sequence[str],
+        docs: Sequence[str],
+        request_codes: np.ndarray,
+        doc_codes: np.ndarray,
+        grades: np.ndarray,
+    ) -> "RelevanceJudgments":
+        """Judgments of the distinct pairs ``(requests[request_codes[i]],
+        docs[doc_codes[i]])``; both name lists sorted and distinct."""
+        self = cls.__new__(cls)
+        self._init(requests, docs, request_codes, doc_codes, grades)
+        return self
+
+    def _init(self, requests, docs, request_codes, doc_codes, grades):
+        grades = np.asarray(grades, dtype=np.float64)
+        negative = np.flatnonzero(grades < 0)
+        if negative.size:
+            i = negative[0]
+            key = (requests[request_codes[i]], docs[doc_codes[i]])
+            raise ShapeError(f"negative relevance grade for {key}: {float(grades[i])}")
+        keys = np.asarray(request_codes, dtype=np.int64) * len(docs) + doc_codes
+        order = np.argsort(keys, kind="stable")
+        self._requests = tuple(requests)
+        self._docs = tuple(docs)
+        self._request_index = dict(zip(self._requests, range(len(self._requests))))
+        self._doc_index = dict(zip(self._docs, range(len(self._docs))))
+        self._keys = keys[order]
+        self._grades = grades[order]
+        # fmax skips NaN, as a scan keeping the largest grade above 0 does.
+        self._max = np.zeros(len(requests))
+        np.fmax.at(self._max, np.asarray(request_codes)[order], self._grades)
+
+    def __eq__(self, other):
+        if not isinstance(other, RelevanceJudgments):
+            return NotImplemented
+        return (
+            self._requests == other._requests
+            and self._docs == other._docs
+            and np.array_equal(self._keys, other._keys)
+            and np.array_equal(self._grades, other._grades)
+        )
+
+    __hash__ = None
 
     def __len__(self) -> int:
-        return len(self._grades)
+        return len(self._keys)
 
     def grade(self, request: str, doc: str) -> float:
-        return self._grades.get((request, doc), 0.0)
+        return float(self.grades(request, (doc,))[0])
 
     def grades(self, request: str, items: Sequence[str]) -> np.ndarray:
-        return np.array([self.grade(request, d) for d in items], dtype=np.float64)
+        return self.lookup((request,), items, np.zeros(len(items), np.intp), np.arange(len(items)))
+
+    def lookup(
+        self,
+        requests: Sequence[str],
+        docs: Sequence[str],
+        request_codes: np.ndarray,
+        doc_codes: np.ndarray,
+    ) -> np.ndarray:
+        """Grades of the pairs ``(requests[request_codes[i]],
+        docs[doc_codes[i]])``. Each name is looked up once, so a batch of
+        pairs over shared name lists costs one array search."""
+        if not len(self._keys):
+            return np.zeros(len(request_codes))
+        to_request = np.fromiter(map(self._request_index.get, requests, repeat(-1)), np.int64)
+        to_doc = np.fromiter(map(self._doc_index.get, docs, repeat(-1)), np.int64)
+        request_codes = to_request[request_codes]
+        doc_codes = to_doc[doc_codes]
+        keys = request_codes * len(self._docs) + doc_codes
+        at = np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
+        found = (request_codes >= 0) & (doc_codes >= 0) & (self._keys[at] == keys)
+        return np.where(found, self._grades[at], 0.0)
 
     def max_grade(self, request: str) -> float:
         """Largest grade judged for the request (0.0 when nothing judged)."""
-        best = 0.0
-        for (req, _), grade in self._grades.items():
-            if req == request and grade > best:
-                best = grade
-        return best
+        q = self._request_index.get(request)
+        return 0.0 if q is None else float(self._max[q])

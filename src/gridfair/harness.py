@@ -2,14 +2,14 @@
 
 A sweep evaluates every combination of system, layout plan, browsing
 model, and metric, producing one aggregate row per combination (and
-optionally per-request rows). Each run is evaluated as a whole: the
-unions of its requests' sampled documents are concatenated into one
-array of grades and membership rows, and every ranking (and, for EEL,
-every request's ideal ordering) becomes a row of positions into it,
-stacked with the rows of the same length. Per (plan, browsing model) one
-batched pass gives the weights, from the grades of the displayed items,
-then the exposures and scores of all of them. Results are buffered and
-sorted before writing.
+optionally per-request rows). Each run is evaluated as a whole, from its
+parsed columns: the unions of its requests' sampled documents are
+concatenated into one array of grades and membership rows, and every
+ranking (and, for EEL, every request's ideal ordering) becomes a row of
+positions into it, stacked with the rows of the same length. Per (plan,
+browsing model) one batched pass gives the weights, from the grades of
+the displayed items, then the exposures and scores of all of them.
+Results are buffered and sorted before writing.
 """
 
 from __future__ import annotations
@@ -234,62 +234,78 @@ class _Stack(NamedTuple):
 
 
 class _RunRows:
-    """The requests of one run as stacked arrays.
+    """The requests ``first:stop`` of one run as stacked arrays.
 
     ``grades`` and ``members`` concatenate each request's union of sampled
     documents (sorted). Every ranking is a row of positions into them,
     numbered in request-major and sample order; for EEL, so is each
-    request's ideal ordering (best grade first, ties by document).
+    request's ideal ordering (best grade first, ties by document). All of
+    it is read from the run's columns: no :class:`Ranking` is built.
     """
 
-    def __init__(self, run, requests, table, rel, with_ideals):
-        rankings, ideals, docs, grades = [], [], [], []
-        self.unions, self.tiers = [], []
-        for request in requests:
-            samples = run.rankings[request]
-            union = sorted({doc for ranking in samples for doc in ranking.items})
-            self.unions.append(union)
-            slot_of = {doc: len(docs) + i for i, doc in enumerate(union)}
-            rankings += [
-                np.array([slot_of[doc] for doc in ranking.items], dtype=np.intp)
-                for ranking in samples
-            ]
-            # Without judgments every grade is 0: cascade then continues with
-            # alpha everywhere, as geometric does.
-            union_grades = (
-                rel.grades(request, union) if rel is not None else np.zeros(len(union))
-            )
-            if with_ideals:
-                best_first = np.argsort(-union_grades, kind="stable")
-                ideals.append(len(docs) + best_first)
-                self.tiers.append(grade_tiers(union_grades[best_first]))
-            docs += union
-            grades.append(union_grades)
-        self.grades = np.concatenate(grades)
-        self.members = table.matrix(docs)
-        self.n_rankings = len(rankings)
-        self.counts = np.array([len(run.rankings[request]) for request in requests])
-        self.request_of = np.repeat(np.arange(len(requests)), self.counts)
+    def __init__(self, run, first, stop, table, rel, with_ideals):
+        lists = run.request_offsets[first : stop + 1]
+        bounds = run.list_offsets[lists[0] : lists[-1] + 1]
+        self.counts = np.diff(lists)
+        lengths = np.diff(bounds)
+        list_request = np.repeat(np.arange(stop - first), self.counts)
+        # Each (request, document) pair once: the unions, concatenated in
+        # request order and sorted by document (codes follow name order).
+        n_docs = len(run.docs)
+        keys = np.repeat(list_request, lengths) * n_docs + run.doc_codes[bounds[0] : bounds[-1]]
+        union, slots = np.unique(keys, return_inverse=True)
+        union_request = union // n_docs
+        self.union_bounds = np.searchsorted(union_request, np.arange(stop - first + 1))
+        needed, doc_of = np.unique(union % n_docs, return_inverse=True)
+        self.doc_names = [run.docs[i] for i in needed.tolist()]
+        self.doc_of = doc_of
+        self.members = table.matrix(self.doc_names)[doc_of]
+        # Without judgments every grade is 0: cascade then continues with
+        # alpha everywhere, as geometric does.
+        if rel is None:
+            self.grades = np.zeros(len(union))
+        else:
+            requests = run.requests()[first:stop]
+            self.grades = rel.lookup(requests, self.doc_names, union_request, doc_of)
+        self.n_rankings = len(lengths)
+        self.request_of = list_request
 
-        by_length: dict[int, tuple[list[int], list[int]]] = {}
-        for i, path in enumerate(rankings):
-            by_length.setdefault(len(path), ([], []))[0].append(i)
-        for q, path in enumerate(ideals):
-            by_length.setdefault(len(path), ([], []))[1].append(q)
-        self.stacks = [
-            _Stack(
-                np.array(ranked, dtype=np.intp),
-                np.array(ideal, dtype=np.intp),
-                np.stack([rankings[i] for i in ranked] + [ideals[q] for q in ideal]),
+        # Stack the rankings, then the ideal orderings, by length.
+        starts = bounds[:-1] - bounds[0]
+        self.tiers = []
+        best_first = ideal_sizes = np.zeros(0, dtype=np.intp)
+        if with_ideals:
+            best_first = np.lexsort((-self.grades, union_request))
+            ideal_sizes = np.diff(self.union_bounds)
+            self.tiers = [
+                grade_tiers(self.grades[best_first[a:b]])
+                for a, b in zip(self.union_bounds[:-1].tolist(), self.union_bounds[1:].tolist())
+            ]
+        self.stacks = []
+        for length in np.unique(np.concatenate((lengths, ideal_sizes))).tolist():
+            span = np.arange(length)
+            ranked = np.flatnonzero(lengths == length)
+            ideal = np.flatnonzero(ideal_sizes == length)
+            paths = np.concatenate(
+                (
+                    slots[starts[ranked][:, None] + span],
+                    best_first[self.union_bounds[ideal][:, None] + span],
+                )
             )
-            for ranked, ideal in by_length.values()
-        ]
+            self.stacks.append(_Stack(ranked, ideal, paths))
         # The rankings of the requests with c samples, as (requests, c) indices.
-        starts = np.cumsum(self.counts) - self.counts
+        list_starts = np.cumsum(self.counts) - self.counts
         self.sample_groups = [
-            (qs, starts[qs][:, None] + np.arange(c))
+            (qs, list_starts[qs][:, None] + np.arange(c))
             for c in np.unique(self.counts).tolist()
             for qs in [np.flatnonzero(self.counts == c)]
+        ]
+
+    def unions(self) -> list[list[str]]:
+        """Each request's union of sampled documents, by name."""
+        return [
+            [self.doc_names[i] for i in self.doc_of[a:b].tolist()]
+            for a, b in zip(self.union_bounds[:-1].tolist(), self.union_bounds[1:].tolist())
         ]
 
     def request_means(self, scores: np.ndarray) -> np.ndarray:
@@ -314,7 +330,8 @@ class _RunRows:
 
 def _evaluate_run(
     run: RunFile,
-    requests: Sequence[str],
+    first: int,
+    stop: int,
     metrics: Sequence[str],
     table: AlignmentTable,
     rel: RelevanceJudgments | None,
@@ -324,16 +341,17 @@ def _evaluate_run(
     plans: Sequence[RenderPlan],
     specs: Sequence[BrowsingModelSpec],
 ) -> dict[str, np.ndarray]:
-    """Per-request values of each metric, shaped (plans, specs, requests).
+    """Per-request values of each metric for the requests ``first:stop`` of
+    ``run.requests()``, shaped (plans, specs, requests).
 
     An AWRF error is raised as ``plan ..., spec ...: <error>`` for the
     first (plan, spec) in sweep order that fails on any of the requests.
     """
-    rows = _RunRows(run, requests, table, rel, "eel" in metrics)
-    sizes = (len(plans), len(specs), len(requests))
+    rows = _RunRows(run, first, stop, table, rel, "eel" in metrics)
+    sizes = (len(plans), len(specs), stop - first)
     if shared_target is None:
         retrieved = PopulationEstimator("retrieved")
-        targets = [population_estimator(retrieved, table, union) for union in rows.unions]
+        targets = [population_estimator(retrieved, table, union) for union in rows.unions()]
         target = np.array(targets)[rows.request_of]
     else:
         target = shared_target
@@ -394,11 +412,11 @@ def _run_values(run: RunFile, *args) -> dict[str, np.ndarray]:
     names the first failing (request, plan, spec) in request-major order.
     """
     try:
-        return _evaluate_run(run, run.requests(), *args)
+        return _evaluate_run(run, 0, len(run.requests()), *args)
     except MetricError:
-        for request in run.requests():
+        for i, request in enumerate(run.requests()):
             try:
-                _evaluate_run(run, [request], *args)
+                _evaluate_run(run, i, i + 1, *args)
             except MetricError as exc:
                 raise MetricError(f"system {run.system!r}, request {request!r}, {exc}") from exc
         raise

@@ -1,17 +1,32 @@
-"""Readers and writers for run files, judgments, alignments, and results.
+r"""Readers and writers for run files, judgments, alignments, and results.
 
-All inputs are UTF-8, newline-delimited text; lines starting with ``#``
-and blank lines are ignored. Parsers reject malformed records instead of
-repairing them, and every parse error names the 1-based line it came from.
+All inputs are UTF-8, newline-delimited text; ``\n``, ``\r\n`` and a lone
+``\r`` each end a line. Lines whose first non-blank character is ``#``,
+and blank lines, are ignored. Parsers reject malformed records instead of
+repairing them, and every parse error names the 1-based line it came
+from, a byte that is not UTF-8 included.
+
+Run, judgment and alignment files are read as bytes once and tokenized
+with numpy over the whole buffer: numeric columns are converted from
+fixed-width byte columns, id columns are interned (sorted, decoding only
+the distinct names), and every check runs in bulk, so no Python object is
+built per record. On any failed check, and on input that reader leaves
+alone (control bytes, non-ASCII whitespace, very wide fields), the file is
+read again line by line, which names the first bad line and gives odd
+input the meaning ``str.split`` gives it.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import re
+from collections.abc import Mapping
 from dataclasses import dataclass, fields
+from functools import cached_property
 from operator import attrgetter
-from typing import Iterable, Mapping, Sequence, get_type_hints
+from pathlib import Path
+from typing import Iterable, Iterator, Sequence, get_type_hints
 
 import numpy as np
 
@@ -19,16 +34,112 @@ from .core import AlignmentTable, GroupSchema, Ranking, RelevanceJudgments
 from .errors import MetricError, ParseError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunFile:
-    """Parsed ranked output of one system: request id to the list of its
-    sampled rankings, ordered by sample index."""
+    """Parsed ranked output of one system, held as columns.
+
+    ``docs`` are the distinct document names, sorted, and ``doc_codes``
+    every ranked document as an index into them, ordered by (request,
+    sample, rank). Sampled list ``i`` is
+    ``doc_codes[list_offsets[i]:list_offsets[i + 1]]`` with the given
+    ``scores``, and request ``j`` of :meth:`requests` owns the lists
+    ``request_offsets[j]`` to ``request_offsets[j + 1]``, ordered by
+    sample index.
+    """
 
     system: str
-    rankings: Mapping[str, tuple[Ranking, ...]]
+    request_names: tuple[str, ...]
+    docs: tuple[str, ...]
+    doc_codes: np.ndarray
+    scores: np.ndarray
+    samples: tuple[int, ...]
+    list_offsets: np.ndarray
+    request_offsets: np.ndarray
+
+    @classmethod
+    def from_rankings(cls, system: str, rankings: Mapping[str, Sequence[Ranking]]) -> "RunFile":
+        """Columns of ``{request: scored rankings ordered by sample}``."""
+        requests = sorted(rankings)
+        lists = [ranking for request in requests for ranking in rankings[request]]
+        docs = sorted({doc for ranking in lists for doc in ranking.items})
+        code = {doc: i for i, doc in enumerate(docs)}
+        items = [doc for ranking in lists for doc in ranking.items]
+        scores = [score for ranking in lists for score in ranking.scores]
+        lengths = [len(ranking) for ranking in lists]
+        counts = [len(rankings[request]) for request in requests]
+        return cls(
+            system,
+            tuple(requests),
+            tuple(docs),
+            np.array([code[doc] for doc in items], dtype=np.int32),
+            np.array(scores, dtype=np.float64),
+            tuple(ranking.sample for ranking in lists),
+            np.cumsum([0, *lengths]),
+            np.cumsum([0, *counts]),
+        )
 
     def requests(self) -> tuple[str, ...]:
-        return tuple(sorted(self.rankings))
+        return self.request_names
+
+    @cached_property
+    def rankings(self) -> Mapping[str, tuple[Ranking, ...]]:
+        """Request id to its sampled rankings, ordered by sample index; a
+        request's :class:`Ranking` objects are built when it is first read."""
+        return _Rankings(self)
+
+    def __eq__(self, other):
+        if not isinstance(other, RunFile):
+            return NotImplemented
+        return (
+            (self.system, self.request_names, self.docs, self.samples)
+            == (other.system, other.request_names, other.docs, other.samples)
+            and np.array_equal(self.doc_codes, other.doc_codes)
+            # Bitwise, so NaN scores compare equal to themselves.
+            and np.array_equal(self.scores.view(np.int64), other.scores.view(np.int64))
+            and np.array_equal(self.list_offsets, other.list_offsets)
+            and np.array_equal(self.request_offsets, other.request_offsets)
+        )
+
+    __hash__ = None
+
+
+class _Rankings(Mapping):
+    """Read-only ``{request: tuple[Ranking, ...]}`` view of a run's columns."""
+
+    def __init__(self, run: RunFile):
+        self._run = run
+        self._index = dict(zip(run.request_names, range(len(run.request_names))))
+        self._built: dict[str, tuple[Ranking, ...]] = {}
+
+    def __getitem__(self, request: str) -> tuple[Ranking, ...]:
+        built = self._built.get(request)
+        if built is None:
+            built = self._built[request] = self._build(request, self._index[request])
+        return built
+
+    def _build(self, request: str, j: int) -> tuple[Ranking, ...]:
+        run = self._run
+        out = []
+        for i in range(run.request_offsets[j], run.request_offsets[j + 1]):
+            span = slice(run.list_offsets[i], run.list_offsets[i + 1])
+            out.append(
+                Ranking(
+                    request=request,
+                    sample=run.samples[i],
+                    items=tuple(run.docs[c] for c in run.doc_codes[span].tolist()),
+                    scores=tuple(run.scores[span].tolist()),
+                )
+            )
+        return tuple(out)
+
+    def __contains__(self, request) -> bool:
+        return request in self._index
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._run.request_names)
+
+    def __len__(self) -> int:
+        return len(self._index)
 
 
 @dataclass(frozen=True)
@@ -64,13 +175,171 @@ _row_cells = attrgetter(*RESULT_FIELDS)
 _RESULT_TYPES = tuple(get_type_hints(ResultsRow)[name] for name in RESULT_FIELDS)
 
 
-def _data_lines(path):
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            yield lineno, line
+class _Declined(Exception):
+    """The columnar reader leaves this input to the line-by-line reader."""
+
+
+def _decode(path, raw: bytes) -> str:
+    """The file's text; a byte that is not UTF-8 is a parse error naming
+    its line."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = raw[: exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise ParseError(
+            path, line, f"byte 0x{raw[exc.start]:02x} is not UTF-8 ({exc.reason})"
+        ) from None
+
+
+def _data_lines(path, raw: bytes) -> Iterator[tuple[int, str]]:
+    r"""(line number, line) of each record: lines end at ``\n``, ``\r\n`` or a
+    lone ``\r``, as in ``open()``'s universal newlines; comment and blank
+    lines are skipped."""
+    text = _decode(path, raw).replace("\r\n", "\n").replace("\r", "\n")
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        yield lineno, line
+
+
+# The non-ASCII characters str.split() and str.strip() read as whitespace.
+_UNICODE_SPACE = re.compile("[\x85\xa0\u1680\u2000-\u200a\u2028\u2029\u202f\u205f\u3000]")
+_HASH = ord("#")
+# Once _buffer has declined the other control bytes, the bytes up to a
+# space are exactly the whitespace: space, tab, CR and LF.
+_SPACE = ord(" ")
+
+
+def _buffer(raw: bytes) -> np.ndarray:
+    """The file's bytes plus a final line break, when the columnar reader
+    splits them into fields as ``str.split()`` would split the decoded
+    lines. Control bytes other than tab, CR and LF are declined:
+    ``str.split()`` reads some as whitespace, and a NUL would vanish from
+    the end of a fixed-width byte string."""
+    buf = np.frombuffer(raw + b"\n", dtype=np.uint8)
+    control = buf[buf < _SPACE]
+    if ((control != ord("\t")) & (control != ord("\n")) & (control != ord("\r"))).any():
+        raise _Declined
+    if (buf >= 0x80).any():
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise _Declined from None
+        if _UNICODE_SPACE.search(text):
+            raise _Declined
+    return buf
+
+
+def _breaks(buf: np.ndarray) -> np.ndarray:
+    return np.flatnonzero((buf == ord("\n")) | (buf == ord("\r")))
+
+
+def _split_records(buf: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end offsets of the whitespace-separated fields of every
+    record line, each shaped (records, width)."""
+    edges = np.diff(np.concatenate(([True], buf <= _SPACE, [True])).view(np.int8))
+    starts = np.flatnonzero(edges == -1)
+    ends = np.flatnonzero(edges == 1)
+    # A line's first field is the first one after a line break.
+    leads = np.zeros(len(starts) + 1, dtype=bool)
+    leads[0] = True
+    leads[np.searchsorted(starts, _breaks(buf))] = True
+    first = np.flatnonzero(leads[:-1])
+    counts = np.diff(first, append=len(starts))
+    record = buf[starts[first]] != _HASH
+    if (counts[record] != width).any():
+        raise _Declined
+    keep = np.repeat(record, counts)
+    return starts[keep].reshape(-1, width), ends[keep].reshape(-1, width)
+
+
+def _split_tab_records(buf: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end offsets of the tab-separated fields of every record
+    line, each stripped of surrounding whitespace and shaped (records,
+    width)."""
+    breaks = _breaks(buf)
+    line_start = np.concatenate(([0], breaks[:-1] + 1))
+    line_end = breaks
+    lead = _skip_space(buf, line_start, line_end)
+    record = lead < line_end
+    record[record] = buf[lead[record]] != _HASH
+    line_start, line_end = line_start[record], line_end[record]
+    tabs = np.flatnonzero(buf == ord("\t"))
+    first_tab = np.searchsorted(tabs, line_start)
+    if (np.searchsorted(tabs, line_end) - first_tab != width - 1).any():
+        raise _Declined
+    cuts = tabs[first_tab[:, None] + np.arange(width - 1)]
+    ends = np.column_stack((cuts, line_end))
+    starts = _skip_space(buf, np.column_stack((line_start, cuts + 1)), ends)
+    # Move each end back past trailing spaces (a non-empty field holds a
+    # non-space byte at its start).
+    back = (starts < ends) & (buf[ends - 1] <= _SPACE)
+    if back.any():
+        solid = np.flatnonzero(buf > _SPACE)
+        ends[back] = solid[np.searchsorted(solid, ends[back]) - 1] + 1
+    return starts, ends
+
+
+def _skip_space(buf: np.ndarray, at: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """The first offset from ``at`` on holding no whitespace, capped at
+    ``stop``."""
+    out = at.copy()
+    look = (at < stop) & (buf[at] <= _SPACE)
+    if look.any():
+        solid = np.flatnonzero(buf > _SPACE)
+        out[look] = np.append(solid, len(buf))[np.searchsorted(solid, at[look])]
+    return np.minimum(out, stop)
+
+
+def _column(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The fields ``buf[starts[i]:ends[i]]`` as one fixed-width byte-string
+    array (shorter fields NUL-padded, which numpy reads as their end)."""
+    lengths = ends - starts
+    width = max(int(lengths.max(initial=0)), 1)
+    if width * len(starts) > 2 * len(buf) + 4096:  # a few very wide fields
+        raise _Declined
+    out = np.zeros((len(starts), width), dtype=np.uint8)
+    offsets = np.cumsum(lengths) - lengths
+    out[np.arange(width) < lengths[:, None]] = buf[
+        np.repeat(starts - offsets, lengths) + np.arange(int(lengths.sum()))
+    ]
+    return out.view(f"S{width}").ravel()
+
+
+def _numbers(column: np.ndarray, dtype) -> np.ndarray:
+    """Python's ``int``/``float`` reading of each field (numpy's cast from
+    bytes follows it), declining what either rejects or cannot hold."""
+    try:
+        return column.astype(dtype)
+    except (ValueError, OverflowError):
+        raise _Declined from None
+
+
+def _intern(column: np.ndarray) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The distinct names of a byte-string column, sorted (UTF-8 byte order
+    is code point order) and decoded; the row each is first seen in; and
+    each row's index among them."""
+    # Sort the fields as big-endian 8-byte words: NUL padding sorts first,
+    # so word order is byte-string order, and integers sort faster.
+    words = -(-column.itemsize // 8)
+    keys = column.astype(f"S{8 * words}").view(">u8").reshape(len(column), words)
+    order = np.lexsort(keys.T[::-1]) if words > 1 else np.argsort(keys[:, 0], kind="stable")
+    ordered = keys[order]
+    new = np.ones(len(order), dtype=bool)
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=new[1:])
+    codes = np.empty(len(order), dtype=np.int32)
+    codes[order] = np.cumsum(new) - 1
+    first = order[new]  # the sorts are stable
+    # One decode for all names: a field never holds a line break.
+    names = b"\n".join(column[first].tolist()).decode("utf-8").split("\n") if len(first) else []
+    return names, first, codes
+
+
+def _repeats(keys: np.ndarray) -> bool:
+    """Whether any value of ``keys`` occurs twice."""
+    ordered = np.sort(keys)
+    return bool((ordered[1:] == ordered[:-1]).any())
 
 
 def parse_run(path) -> RunFile:
@@ -79,13 +348,61 @@ def parse_run(path) -> RunFile:
     ``iter`` is the stochastic-policy sample index; the conventional
     placeholder ``Q0`` reads as sample 0. Records are grouped by
     (request, sample) and ordered by ascending rank; the rank order in the
-    file is authoritative, scores are carried as-is.
+    file is authoritative, scores are carried as-is. The system name is
+    the first record's tag.
     """
+    raw = Path(path).read_bytes()
+    try:
+        return _run_columns(raw)
+    except _Declined:
+        return _parse_run_lines(path, raw)
+
+
+def _run_columns(raw: bytes) -> RunFile:
+    buf = _buffer(raw)
+    starts, ends = _split_records(buf, 6)
+    if not len(starts):
+        raise _Declined
+    request, it, doc, rank, score = (_column(buf, starts[:, j], ends[:, j]) for j in range(5))
+    requests, _, request = _intern(request)
+    docs, _, doc = _intern(doc)
+    sample = _numbers(np.where(it == b"Q0", b"0", it), np.int64)
+    rank = _numbers(rank, np.int64)
+    score = _numbers(score, np.float64)
+    if (sample < 0).any():
+        raise _Declined
+    order = np.lexsort((rank, sample, request))
+    request, sample, rank = request[order], sample[order], rank[order]
+    new_list = np.concatenate(
+        ([True], (request[1:] != request[:-1]) | (sample[1:] != sample[:-1]))
+    )
+    if (~new_list[1:] & (rank[1:] == rank[:-1])).any():
+        raise _Declined  # a repeated rank
+    doc = doc[order]
+    if _repeats((np.cumsum(new_list) - 1) * len(docs) + doc):
+        raise _Declined  # a repeated document
+    list_starts = np.flatnonzero(new_list)
+    list_request = request[list_starts]
+    new_request = np.flatnonzero(np.diff(list_request, prepend=-1))
+    return RunFile(
+        system=raw[starts[0, 5] : ends[0, 5]].decode("utf-8"),
+        request_names=tuple(requests),
+        docs=tuple(docs),
+        doc_codes=doc,
+        scores=score[order],
+        samples=tuple(sample[list_starts].tolist()),
+        list_offsets=np.append(list_starts, len(doc)),
+        request_offsets=np.append(new_request, len(list_starts)),
+    )
+
+
+def _parse_run_lines(path, raw: bytes) -> RunFile:
+    """Line-by-line :func:`parse_run`: names the first bad line."""
     records: dict[tuple[str, int], list[tuple[int, str, float]]] = {}
     seen_docs: set[tuple[str, int, str]] = set()
     seen_ranks: set[tuple[str, int, int]] = set()
     system = None
-    for lineno, line in _data_lines(path):
+    for lineno, line in _data_lines(path, raw):
         parts = line.split()
         if len(parts) != 6:
             raise ParseError(path, lineno, f"expected 6 columns, got {len(parts)}")
@@ -137,7 +454,7 @@ def parse_run(path) -> RunFile:
         qid: tuple(sorted(lists, key=lambda r: r.sample))
         for qid, lists in rankings.items()
     }
-    return RunFile(system=system, rankings=ordered)
+    return RunFile.from_rankings(system, ordered)
 
 
 def write_run(rankings: Iterable[Ranking], system: str, path) -> None:
@@ -160,12 +477,55 @@ def parse_alignment(path) -> AlignmentTable:
 
     Multiple rows per document accumulate and are L1-normalized. The
     schema covers every observed group name plus ``unknown``, sorted with
-    unknown last.
+    unknown last. Documents keep the order they are first seen in.
     """
-    raw: dict[str, dict[str, float]] = {}
+    raw = Path(path).read_bytes()
+    try:
+        return _alignment_columns(raw)
+    except _Declined:
+        return _parse_alignment_lines(path, raw)
+
+
+def _alignment_columns(raw: bytes) -> AlignmentTable:
+    buf = _buffer(raw)
+    starts, ends = _split_tab_records(buf, 3)
+    if ((ends[:, :2] - starts[:, :2]) == 0).any():
+        raise _Declined  # an empty document or group name
+    weight = _numbers(_column(buf, starts[:, 2], ends[:, 2]), np.float64)
+    if not (np.isfinite(weight) & (weight >= 0)).all():
+        raise _Declined
+    names, first, doc = _intern(_column(buf, starts[:, 0], ends[:, 0]))
+    # Renumber the documents in the order they are first seen.
+    seen = np.argsort(first)
+    doc = np.argsort(seen)[doc]
+    docs = [names[i] for i in seen.tolist()]
+    groups, _, group = _intern(_column(buf, starts[:, 1], ends[:, 1]))
+    schema = GroupSchema.from_groups(groups)
+    group = np.array([schema.index(name) for name in groups], dtype=np.intp)[group]
+    # Each document's total adds its groups in the order first seen for it.
+    pairs, first_row = np.unique(doc * schema.size + group, return_index=True)
+    pairs = pairs[np.lexsort((first_row, pairs // schema.size))]
+    pair_doc = pairs // schema.size
+    place = np.arange(len(pairs)) - np.searchsorted(pair_doc, pair_doc)
+    acc = np.zeros((len(docs), schema.size))
+    by_place = np.zeros((len(docs), schema.size))
+    with np.errstate(over="ignore"):
+        np.add.at(acc, (doc, group), weight)  # in file order, as row-by-row sums
+        by_place[pair_doc, place] = acc[pair_doc, pairs % schema.size]
+        total = by_place[:, 0].copy()
+        for k in range(1, int(place.max(initial=0)) + 1):
+            total += by_place[:, k]
+    if not (np.isfinite(total) & (total > 0)).all():
+        raise _Declined  # an all-zero document, or sums beyond the float range
+    return AlignmentTable.from_rows(schema, docs, acc / total[:, None])
+
+
+def _parse_alignment_lines(path, raw: bytes) -> AlignmentTable:
+    """Line-by-line :func:`parse_alignment`: names the first bad line."""
+    acc_by_doc: dict[str, dict[str, float]] = {}
     first_line: dict[str, int] = {}
     groups: set[str] = set()
-    for lineno, line in _data_lines(path):
+    for lineno, line in _data_lines(path, raw):
         parts = line.split("\t")
         if len(parts) != 3:
             raise ParseError(path, lineno, f"expected 3 tab-separated columns, got {len(parts)}")
@@ -181,12 +541,12 @@ def parse_alignment(path) -> AlignmentTable:
         if weight < 0:
             raise ParseError(path, lineno, f"negative membership weight {weight}")
         groups.add(group)
-        acc = raw.setdefault(docid, {})
+        acc = acc_by_doc.setdefault(docid, {})
         acc[group] = acc.get(group, 0.0) + weight
         first_line.setdefault(docid, lineno)
     schema = GroupSchema.from_groups(groups)
     vectors = {}
-    for docid, acc in raw.items():
+    for docid, acc in acc_by_doc.items():
         total = sum(acc.values())
         if total <= 0:
             raise ParseError(
@@ -202,8 +562,31 @@ def parse_qrels(path) -> RelevanceJudgments:
 
     The second column is ignored. Absent pairs read as grade 0.
     """
+    raw = Path(path).read_bytes()
+    try:
+        return _qrels_columns(raw)
+    except _Declined:
+        return _parse_qrels_lines(path, raw)
+
+
+def _qrels_columns(raw: bytes) -> RelevanceJudgments:
+    buf = _buffer(raw)
+    starts, ends = _split_records(buf, 4)
+    request, doc, grade = (_column(buf, starts[:, j], ends[:, j]) for j in (0, 2, 3))
+    grade = _numbers(grade, np.float64)
+    if not (np.isfinite(grade) & (grade >= 0)).all():
+        raise _Declined
+    requests, _, request = _intern(request)
+    docs, _, doc = _intern(doc)
+    if _repeats(request.astype(np.int64) * len(docs) + doc):
+        raise _Declined  # a repeated (request, document) judgment
+    return RelevanceJudgments.from_columns(requests, docs, request, doc, grade)
+
+
+def _parse_qrels_lines(path, raw: bytes) -> RelevanceJudgments:
+    """Line-by-line :func:`parse_qrels`: names the first bad line."""
     grades: dict[tuple[str, str], float] = {}
-    for lineno, line in _data_lines(path):
+    for lineno, line in _data_lines(path, raw):
         parts = line.split()
         if len(parts) != 4:
             raise ParseError(path, lineno, f"expected 4 columns, got {len(parts)}")
@@ -227,7 +610,7 @@ def parse_fixed_target(path, schema: GroupSchema) -> np.ndarray:
     the schema's groups; groups not listed weigh 0."""
     values = np.zeros(schema.size)
     seen = set()
-    for lineno, line in _data_lines(path):
+    for lineno, line in _data_lines(path, Path(path).read_bytes()):
         parts = line.split()
         if len(parts) != 2:
             raise ParseError(path, lineno, f"expected 'group weight', got {line.strip()!r}")

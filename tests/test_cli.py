@@ -157,6 +157,22 @@ class TestMeasureCommand:
         assert main(self.base_args(inputs, parallel, ("--jobs", "8"))) == 0
         assert serial.read_bytes() == parallel.read_bytes()
 
+    def test_sweep_builds_no_ranking(self, inputs, tmp_path, monkeypatch):
+        """measure reads the parsed columns; Ranking objects are only built
+        when a caller reads ``RunFile.rankings``."""
+        out = tmp_path / "res.csv"
+        args = self.base_args(inputs, out, ("--qrels", str(inputs[3]), "--metrics", "awrf,eel"))
+        assert main(args) == 0
+        expected = out.read_bytes()
+
+        def no_ranking(*args, **kwargs):
+            raise AssertionError("a Ranking was built")
+
+        monkeypatch.setattr("gridfair.io.Ranking", no_ranking)
+        out.unlink()
+        assert main(args) == 0
+        assert out.read_bytes() == expected
+
     def test_eel_needs_qrels(self, inputs, tmp_path, capsys):
         out = tmp_path / "res.csv"
         args = self.base_args(inputs, out, ("--metrics", "awrf,eel"))
@@ -387,6 +403,29 @@ class TestMeasureCommand:
         out = tmp_path / "res.csv"
         assert main(self.base_args(inputs, out)) == 2
         assert f"{alignment}:{lineno}: non-finite membership weight" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("which", ["run", "qrels", "alignment", "target"])
+    def test_undecodable_byte_is_parse_error_naming_its_line(
+        self, inputs, tmp_path, capsys, which, newline
+    ):
+        run_a, _, alignment, qrels = inputs
+        target = tmp_path / "target.txt"
+        target.write_text("A 0.5\nB 0.5\n", encoding="utf-8")
+        path = {"run": run_a, "qrels": qrels, "alignment": alignment, "target": target}[which]
+        lines = path.read_bytes().splitlines()
+        path.write_bytes(newline.encode().join([lines[0], b"# caf\xe9", *lines[1:]]))
+        out = tmp_path / "res.csv"
+        code = main(
+            [
+                "measure", "--run", str(run_a), "--alignment", str(alignment),
+                "--qrels", str(qrels), "--geometry", "vertical-linear",
+                "--target", f"fixed:{target}", "--output", str(out),
+            ]
+        )
+        assert code == 2
+        assert f"error: {path}:2: byte 0xe9 is not UTF-8" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "preset,expected_rows",
@@ -636,6 +675,7 @@ class TestRerankCommand:
         [
             ("fixed", "fixed target needs a path: fixed:<path>"),
             ("uniform:junk", "target estimator 'uniform' takes no suffix"),
+            ("", "unknown target estimator ''"),
         ],
     )
     def test_bad_target_token_is_usage_error_before_parsing(

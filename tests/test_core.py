@@ -190,3 +190,28 @@ class TestRelevanceJudgments:
         rel = RelevanceJudgments({("q1", "d1"): 2.0, ("q2", "d1"): 5.0})
         assert rel.max_grade("q1") == 2.0
         assert rel.max_grade("q3") == 0.0
+
+    def test_views_over_several_requests(self):
+        rel = RelevanceJudgments(
+            {("q2", "d3"): 1.0, ("q1", "d2"): 2.0, ("q2", "d1"): 5.0, ("q1", "d9"): 0.0}
+        )
+        assert len(rel) == 4
+        assert (rel.max_grade("q1"), rel.max_grade("q2"), rel.max_grade("qx")) == (2.0, 5.0, 0.0)
+        assert rel.grades("q2", ["d1", "d2", "d3", "d9"]).tolist() == [5.0, 0.0, 1.0, 0.0]
+        assert rel.grades("qx", ["d1"]).tolist() == [0.0]
+        assert rel.grades("q1", []).shape == (0,)
+        assert RelevanceJudgments().grades("q1", ["d1"]).tolist() == [0.0]
+        assert RelevanceJudgments().max_grade("q1") == 0.0
+        # Input order does not matter.
+        assert rel == RelevanceJudgments(
+            {("q1", "d9"): 0.0, ("q2", "d1"): 5.0, ("q1", "d2"): 2.0, ("q2", "d3"): 1.0}
+        )
+        assert rel != RelevanceJudgments({("q1", "d2"): 2.0})
+
+    def test_lookup_over_shared_name_lists(self):
+        rel = RelevanceJudgments({("q1", "d2"): 2.0, ("q2", "d1"): 5.0})
+        requests, docs = ["q2", "q1", "qx"], ["d1", "d2", "dx"]
+        pairs = [(0, 0), (1, 1), (1, 0), (2, 0), (0, 2)]
+        got = rel.lookup(requests, docs, *np.array(pairs).T)
+        assert got.tolist() == [rel.grade(requests[q], docs[d]) for q, d in pairs]
+        assert got.tolist() == [5.0, 2.0, 0.0, 0.0, 0.0]

@@ -34,7 +34,7 @@ from .harness import (
     resolve_shared_target,
     split_target,
 )
-from .io import parse_alignment, parse_run, read_results, write_run
+from .io import parse_alignment, parse_run, read_results, read_text, write_run
 from .layout import VERTICAL, WRAPPED_GRID, RenderPlan, parse_geometry
 from .mc import simulate_row_skip
 from .metrics import PopulationEstimator, population_estimator
@@ -74,11 +74,14 @@ def _ints(text: str) -> list[int]:
 
 
 def _load_config_file(path) -> dict:
-    with open(path, encoding="utf-8") as handle:
-        try:
-            data = yaml.safe_load(handle)
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"cannot parse config {path}: {exc}")
+    try:
+        text = read_text(path)
+    except ParseError as exc:
+        raise ConfigError(f"cannot parse config {exc}") from None
+    try:
+        data = yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"cannot parse config {path}: {exc}")
     if data is None:
         return {}
     if not isinstance(data, dict):

@@ -6,17 +6,19 @@ optionally per-request rows). Each run is evaluated as a whole, from its
 parsed columns: the unions of its requests' sampled documents are
 concatenated into one array of grades and membership rows, and every
 ranking (and, for EEL, every request's ideal ordering) becomes a row of
-positions into it, stacked with the rows of the same length. Per (plan,
-browsing model) one batched pass gives the weights, from the grades of
-the displayed items, then the exposures and scores of all of them.
-Results are buffered and sorted before writing.
+positions into it, in one stack padded to the longest row. Per plan one
+shape is rendered, for that longest row; a shorter row shows a prefix of
+it. Per (plan, browsing model) one batched pass gives the weights, from
+the grades of the displayed items (padding continues with 1.0, which
+changes no product over real items), then the exposures and scores of
+all of them. Results are buffered and sorted before writing.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -224,23 +226,16 @@ def _spec_label(spec: BrowsingModelSpec) -> str:
     )
 
 
-class _Stack(NamedTuple):
-    """Rows of one length: ``paths`` holds the rankings' positions (run
-    indices ``rankings``), then the ideal orderings of ``ideals``."""
-
-    rankings: np.ndarray
-    ideals: np.ndarray
-    paths: np.ndarray
-
-
 class _RunRows:
-    """The requests ``first:stop`` of one run as stacked arrays.
+    """The requests ``first:stop`` of one run as one padded stack.
 
     ``grades`` and ``members`` concatenate each request's union of sampled
-    documents (sorted). Every ranking is a row of positions into them,
-    numbered in request-major and sample order; for EEL, so is each
-    request's ideal ordering (best grade first, ties by document). All of
-    it is read from the run's columns: no :class:`Ranking` is built.
+    documents (sorted). Every ranking is a row of ``paths``, positions into
+    them, numbered in request-major and sample order; for EEL, so is each
+    request's ideal ordering (best grade first, ties by document), after
+    the rankings. Rows are padded to the longest by repeating their last
+    position; ``lengths`` holds each row's own length. All of it is read
+    from the run's columns: no :class:`Ranking` is built.
     """
 
     def __init__(self, run, first, stop, table, rel, with_ideals):
@@ -270,34 +265,28 @@ class _RunRows:
         self.n_rankings = len(lengths)
         self.request_of = list_request
 
-        # Stack the rankings, then the ideal orderings, by length.
+        # The rankings' positions, then the ideal orderings', one row each.
+        positions = slots
         starts = bounds[:-1] - bounds[0]
         self.tiers = []
-        best_first = ideal_sizes = np.zeros(0, dtype=np.intp)
         if with_ideals:
             best_first = np.lexsort((-self.grades, union_request))
-            ideal_sizes = np.diff(self.union_bounds)
             self.tiers = [
                 grade_tiers(self.grades[best_first[a:b]])
                 for a, b in zip(self.union_bounds[:-1].tolist(), self.union_bounds[1:].tolist())
             ]
-        self.stacks = []
-        for length in np.unique(np.concatenate((lengths, ideal_sizes))).tolist():
-            span = np.arange(length)
-            ranked = np.flatnonzero(lengths == length)
-            ideal = np.flatnonzero(ideal_sizes == length)
-            paths = np.concatenate(
-                (
-                    slots[starts[ranked][:, None] + span],
-                    best_first[self.union_bounds[ideal][:, None] + span],
-                )
-            )
-            self.stacks.append(_Stack(ranked, ideal, paths))
+            positions = np.concatenate((slots, best_first))
+            starts = np.concatenate((starts, len(slots) + self.union_bounds[:-1]))
+            lengths = np.concatenate((lengths, np.diff(self.union_bounds)))
+        self.lengths = lengths
+        self.width = int(lengths.max())
+        span = np.minimum(np.arange(self.width), lengths[:, None] - 1)
+        self.paths = positions[starts[:, None] + span]
         # The rankings of the requests with c samples, as (requests, c) indices.
         list_starts = np.cumsum(self.counts) - self.counts
         self.sample_groups = [
             (qs, list_starts[qs][:, None] + np.arange(c))
-            for c in np.unique(self.counts).tolist()
+            for c in sorted(set(self.counts.tolist()))
             for qs in [np.flatnonzero(self.counts == c)]
         ]
 
@@ -348,6 +337,7 @@ def _evaluate_run(
     first (plan, spec) in sweep order that fails on any of the requests.
     """
     rows = _RunRows(run, first, stop, table, rel, "eel" in metrics)
+    n = rows.n_rankings
     sizes = (len(plans), len(specs), stop - first)
     if shared_target is None:
         retrieved = PopulationEstimator("retrieved")
@@ -357,27 +347,36 @@ def _evaluate_run(
         target = shared_target
     awrf_values = np.empty(sizes)
     system = np.empty((*sizes, table.schema.size))
-    # Per stack, the weights of its ideals' slots by (plan, spec); hidden
-    # slots stay zero.
-    ideal_slots = [
-        np.zeros((len(stack.ideals), *sizes[:2], stack.paths.shape[1])) for stack in rows.stacks
-    ]
-    exposures = np.empty((rows.n_rankings, table.schema.size))
+    # The weights of the ideals' slots by (plan, spec); hidden slots stay
+    # zero, and padding lands past each ideal's own length.
+    ideal_slots = np.zeros((len(rows.lengths) - n, *sizes[:2], rows.width))
+    exposures = np.empty((n, table.schema.size))
     for pi, plan in enumerate(plans):
-        shown = []
-        for stack in rows.stacks:
-            displayed, row_lengths = _shape(plan, stack.paths.shape[1])
-            docs = stack.paths[:, displayed]
-            mats = rows.members[docs[: len(stack.rankings)]]
-            shown.append((displayed, row_lengths, rows.grades[docs], mats))
+        # Plans lay items out by rank, row-major, and truncation keeps a
+        # column prefix of every row, so a row of length L shows the first
+        # k displayed ranks of the widest row's shape: those below L.
+        displayed, row_lengths = _shape(plan, rows.width)
+        shown = np.searchsorted(displayed, rows.lengths)
+        padded = np.arange(len(displayed)) >= shown[:, None]
+        docs = rows.paths[:, displayed]
+        # Padded cells weigh grade 0, which leaves each row's cascade cap
+        # as it is, and then continue with 1.0, which leaves every product
+        # over the real cells as it is.
+        grades = np.where(padded, 0.0, rows.grades[docs])
+        # Exposures of the rankings grouped by their shown count, so each
+        # product runs over the real cells only.
+        groups = [
+            (idx, k, rows.members[docs[idx, :k]])
+            for k in sorted(set(shown[:n].tolist()))
+            for idx in [np.flatnonzero(shown[:n] == k)]
+        ]
         for si, spec in enumerate(specs):
-            for stack, (displayed, row_lengths, grades, mats), slots in zip(
-                rows.stacks, shown, ideal_slots
-            ):
-                weights = position_weights(continuations(grades, spec), row_lengths, spec)
-                n = len(stack.rankings)
-                exposures[stack.rankings] = group_exposure(weights[:n], mats)
-                slots[:, pi, si, displayed] = weights[n:]
+            cont = continuations(grades, spec)
+            cont[padded] = 1.0
+            weights = position_weights(cont, row_lengths, spec)
+            for idx, k, mats in groups:
+                exposures[idx] = group_exposure(weights[idx, :k], mats)
+            ideal_slots[:, pi, si, displayed] = weights[n:]
             if "awrf" in metrics:
                 try:
                     scores = awrf(exposures, target, delta, table.schema, exclude_unknown)
@@ -393,11 +392,9 @@ def _evaluate_run(
         out["awrf"] = awrf_values
     if "eel" in metrics:
         ideal = np.empty_like(system)
-        for stack, slots in zip(rows.stacks, ideal_slots):
-            paths = stack.paths[len(stack.rankings) :]
-            for q, path, weights in zip(stack.ideals.tolist(), paths, slots):
-                per_doc = tier_means(weights, rows.tiers[q])
-                ideal[:, :, q] = group_exposure(per_doc, rows.members[path])
+        for q, (slots, size) in enumerate(zip(ideal_slots, rows.lengths[n:].tolist())):
+            per_doc = tier_means(slots[..., :size], rows.tiers[q])
+            ideal[:, :, q] = group_exposure(per_doc, rows.members[rows.paths[n + q, :size]])
         if exclude_unknown:
             system = drop_unknown(system, table.schema)
             ideal = drop_unknown(ideal, table.schema)

@@ -24,6 +24,7 @@ import re
 from collections.abc import Mapping
 from dataclasses import dataclass, fields
 from functools import cached_property
+from io import StringIO
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, get_type_hints
@@ -190,6 +191,12 @@ def _decode(path, raw: bytes) -> str:
         raise ParseError(
             path, line, f"byte 0x{raw[exc.start]:02x} is not UTF-8 ({exc.reason})"
         ) from None
+
+
+def read_text(path) -> str:
+    """A UTF-8 text file's contents; a byte that is not UTF-8 is a parse
+    error naming its line."""
+    return _decode(path, Path(path).read_bytes())
 
 
 def _data_lines(path, raw: bytes) -> Iterator[tuple[int, str]]:
@@ -651,22 +658,21 @@ def write_results(rows: Sequence[ResultsRow], path) -> None:
 def read_results(path) -> list[ResultsRow]:
     """Read a results CSV produced by :func:`write_results`."""
     rows = []
-    with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != list(RESULT_FIELDS):
-            raise ParseError(path, 1, f"unexpected header {header}")
-        for lineno, record in enumerate(reader, start=2):
-            if not record:
-                continue
-            if len(record) != len(RESULT_FIELDS):
-                raise ParseError(
-                    path, lineno, f"expected {len(RESULT_FIELDS)} fields, got {len(record)}"
-                )
-            try:
-                rows.append(
-                    ResultsRow(*(kind(cell) for kind, cell in zip(_RESULT_TYPES, record)))
-                )
-            except (ValueError, MetricError) as exc:
-                raise ParseError(path, lineno, str(exc))
+    reader = csv.reader(StringIO(read_text(path), newline=""))
+    header = next(reader, None)
+    if header != list(RESULT_FIELDS):
+        raise ParseError(path, 1, f"unexpected header {header}")
+    for lineno, record in enumerate(reader, start=2):
+        if not record:
+            continue
+        if len(record) != len(RESULT_FIELDS):
+            raise ParseError(
+                path, lineno, f"expected {len(RESULT_FIELDS)} fields, got {len(record)}"
+            )
+        try:
+            rows.append(
+                ResultsRow(*(kind(cell) for kind, cell in zip(_RESULT_TYPES, record)))
+            )
+        except (ValueError, MetricError) as exc:
+            raise ParseError(path, lineno, str(exc))
     return rows

@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import gridfair
 
 from gridfair import DistanceSpec, PopulationEstimator, SweepConfig, attention, awrf, group_exposure
 from gridfair.cli import _browsing_spec_from_args, _build_sweep_config, build_parser, main
@@ -173,6 +180,26 @@ class TestMeasureCommand:
         assert main(args) == 0
         assert out.read_bytes() == expected
 
+    def test_sweep_does_not_import_numpy_ma(self, inputs, tmp_path):
+        """``numpy.ma`` costs every sweep a lazy import; a fresh process
+        that runs ``measure`` must not load it."""
+        _, _, _, qrels = inputs
+        extra = ("--metrics", "awrf,eel", "--qrels", str(qrels))
+        args = self.base_args(inputs, tmp_path / "res.csv", extra)
+        script = (
+            "import sys\n"
+            "from gridfair.cli import main\n"
+            f"assert main({args!r}) == 0\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        src = str(Path(gridfair.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split()[-1] == "False"
+
     def test_eel_needs_qrels(self, inputs, tmp_path, capsys):
         out = tmp_path / "res.csv"
         args = self.base_args(inputs, out, ("--metrics", "awrf,eel"))
@@ -256,6 +283,16 @@ class TestMeasureCommand:
         config.write_text("seed: 3\n", encoding="utf-8")
         assert main(["measure", "--config", str(config)]) == 1
         assert "unknown config keys: ['seed']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_undecodable_config_byte_is_config_error_naming_its_line(
+        self, inputs, tmp_path, capsys, newline
+    ):
+        config = tmp_path / "sweep.yaml"
+        config.write_bytes(newline.encode().join([b"models: [geometric]", b"# caf\xe9", b""]))
+        assert main(["measure", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: cannot parse config {config}:2: byte 0xe9 is not UTF-8" in err
 
     @pytest.mark.parametrize(
         "line,message",
@@ -799,6 +836,15 @@ class TestCompareCommand:
 
     def test_missing_results_file(self, tmp_path):
         assert main(["compare", "--results", str(tmp_path / "nope.csv")]) == 2
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_undecodable_byte_is_parse_error_naming_its_line(self, tmp_path, capsys, newline):
+        path = tmp_path / "results.csv"
+        write_results(self.rows_for({("vertical-linear", 1): {"s1": 0.1, "s2": 0.2}}), path)
+        lines = path.read_bytes().splitlines()
+        path.write_bytes(newline.encode().join([*lines[:2], lines[2].replace(b"s2", b"caf\xe9")]))
+        assert main(["compare", "--results", str(path)]) == 2
+        assert f"error: {path}:3: byte 0xe9 is not UTF-8" in capsys.readouterr().err
 
     def test_non_finite_value_is_parse_error(self, tmp_path, capsys):
         path = tmp_path / "results.csv"

@@ -11,10 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridfair import BrowsingModelSpec, DistanceSpec, awrf, continuations, eel, group_exposure
-from gridfair.browse import ADJUSTMENTS, WITHIN_ROW_MODES, position_weights
+from gridfair.browse import ADJUSTMENTS, BASES, WITHIN_ROW_MODES, position_weights
 from gridfair.metrics import grade_tiers, tier_means
 
-from util import make_schema
+from util import make_schema, prefix_rows
 
 
 def _clip(value):
@@ -184,6 +184,47 @@ def test_continuations_cap_each_row_by_its_own_maximum(rows, data):
     batched = continuations(grades, spec)
     for row, cont in zip(grades, batched):
         assert np.array_equal(cont, continuations(row, spec))
+
+
+@st.composite
+def padded_batches(draw):
+    """A shape, and rankings that each fill its first k cells with grades."""
+    lengths = draw(row_lengths())
+    n = int(lengths.sum())
+    shown = draw(st.lists(st.integers(0, n), min_size=1, max_size=4))
+    grades = [
+        np.array(draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0]), min_size=k, max_size=k)))
+        for k in shown
+    ]
+    spec = BrowsingModelSpec(
+        base=draw(st.sampled_from(BASES)),
+        adjustment=draw(st.sampled_from(ADJUSTMENTS)),
+        gamma=draw(PROBABILITIES),
+        beta=draw(BETAS),
+        satisfaction=draw(PROBABILITIES),
+        within_row=draw(st.sampled_from(WITHIN_ROW_MODES)),
+    )
+    return lengths, grades, spec
+
+
+@settings(max_examples=300, deadline=None)
+@given(padded_batches())
+def test_padding_with_unit_continuations_keeps_each_rows_weights(case):
+    """Rankings shorter than the shape, padded with grade 0 and then with
+    continuation 1.0, get their own shape's weights bit for bit: the cap
+    of each row is unchanged, and every product over real cells is."""
+    lengths, grades, spec = case
+    n = int(lengths.sum())
+    padded = np.zeros((len(grades), n))
+    for row, g in zip(padded, grades):
+        row[: len(g)] = g
+    cont = continuations(padded, spec)
+    for row, g in zip(cont, grades):
+        row[len(g) :] = 1.0
+    weights = position_weights(cont, lengths, spec)
+    for row, g in zip(weights, grades):
+        alone = position_weights(continuations(g, spec), prefix_rows(lengths, len(g)), spec)
+        assert np.array_equal(row[: len(g)], alone), (row[: len(g)], alone)
 
 
 @st.composite

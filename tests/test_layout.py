@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from gridfair import ConfigError, LayoutError, RenderPlan, render, rewrap, truncate, wrap
-from gridfair.layout import HORIZONTAL, VERTICAL, WRAPPED_GRID, parse_geometry
+from gridfair.harness import _shape
+from gridfair.layout import HORIZONTAL, VERTICAL, REDUCTIONS, WRAPPED_GRID, parse_geometry
 
-from util import make_ranking
+from util import make_ranking, prefix_rows
 
 
 def rows_of(grid):
@@ -186,3 +187,28 @@ class TestGeometry:
         for bad in ("wrapped-grid", "wrapped-grid:x", "spiral"):
             with pytest.raises(ConfigError):
                 parse_geometry(bad)
+
+
+SHAPE_PLANS = [
+    RenderPlan(VERTICAL, 1),
+    RenderPlan(HORIZONTAL, 0),
+    *[RenderPlan(WRAPPED_GRID, c) for c in (1, 3, 5)],
+    *[RenderPlan(WRAPPED_GRID, c, red, 5) for red in REDUCTIONS for c in (1, 3, 5)],
+]
+
+
+@pytest.mark.parametrize(
+    "plan", SHAPE_PLANS, ids=lambda p: f"{p.geometry}:{p.columns}:{p.reduction}"
+)
+def test_a_shorter_lists_shape_is_a_prefix_of_a_longer_lists(plan):
+    """The sweep renders one shape per plan, for its longest list, and
+    reads a list of length L off its first k displayed ranks: those below
+    L. That holds because every plan lays items out by rank, row-major,
+    and truncation keeps a column prefix of every row."""
+    shapes = [_shape(plan, length) for length in range(24)]
+    for width, (displayed, row_lengths) in enumerate(shapes):
+        for length in range(width + 1):
+            shown, rows = shapes[length]
+            k = int(np.searchsorted(displayed, length))
+            assert np.array_equal(shown, displayed[:k])
+            assert np.array_equal(rows, prefix_rows(row_lengths, k))

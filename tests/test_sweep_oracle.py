@@ -226,3 +226,27 @@ def test_reference_covers_ties_unjudged_and_unlabeled_documents():
     )
     _check_sweep(alignment, runs, qrels, axes)
     _check_sweep(alignment, runs, None, {**axes, "metrics": ["awrf"], "target": "catalog"})
+
+
+def test_shorter_ranking_with_a_hidden_last_item_keeps_its_own_cap():
+    """The sweep pads every row to its run's longest. Sample 0 is shorter
+    than sample 1, and truncating 3 columns to 2 hides its last item, d5,
+    which has its highest grade: cascade must still cap that ranking by
+    its largest grade on screen, that of d1."""
+    alignment = [f"d{i}\t{'AB'[i % 2]}\t1" for i in range(15)]
+    runs = [
+        [f"q1 0 d{i} {i} {6 - i} sysA" for i in range(6)]
+        + [f"q1 1 d{i} {i - 6} {15 - i} sysA" for i in range(6, 15)]
+    ]
+    qrels = ["q1 0 d1 1", "q1 0 d5 2"] + [f"q1 0 d{i} 1" for i in range(6, 15)]
+    axes = dict(
+        geometries=[],
+        reductions=["truncate"],
+        base_columns=3,
+        columns=[2],
+        bases=["cascade"],
+        adjustments=["none", "row-skip", "slow-decay"],
+        satisfaction=1.0,
+        metrics=["awrf", "eel"],
+    )
+    _check_sweep(alignment, runs, qrels, axes)

@@ -68,3 +68,10 @@ def permutation_expectation(docs, grades, plan, spec, table):
         total += table.matrix(order).T @ per_doc
         count += 1
     return total / count
+
+
+def prefix_rows(row_lengths, k):
+    """The row lengths of the first ``k`` cells of a shape."""
+    ends = np.minimum(np.cumsum(row_lengths), k)
+    cut = np.diff(ends, prepend=0)
+    return cut[cut > 0]

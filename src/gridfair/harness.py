@@ -125,18 +125,25 @@ class SweepConfig:
         self.distance()
 
     def plans(self) -> list[RenderPlan]:
-        plans = list(self.geometries)
-        for red in self.reductions:
-            for size in self.columns:
-                plans.append(
-                    RenderPlan(
-                        geometry=WRAPPED_GRID,
-                        columns=size,
-                        reduction=red,
-                        base_columns=self.base_columns,
-                    )
-                )
-        return plans
+        """The geometries, then every reduction at every column size.
+
+        A plan with the same output columns (geometry, columns, reduction)
+        as an earlier one is dropped, so repeated tokens are measured once.
+        """
+        reduced = (
+            RenderPlan(
+                geometry=WRAPPED_GRID,
+                columns=size,
+                reduction=red,
+                base_columns=self.base_columns,
+            )
+            for red in self.reductions
+            for size in self.columns
+        )
+        plans = {}
+        for plan in (*self.geometries, *reduced):
+            plans.setdefault((plan.geometry, plan.columns, plan.reduction), plan)
+        return list(plans.values())
 
     def browsing_specs(self) -> list[BrowsingModelSpec]:
         """Cross-product of bases, adjustments, and the parameter grids.
@@ -428,10 +435,17 @@ def measure(config: SweepConfig) -> list[ResultsRow]:
     """
     config.validate()
     runs = [parse_run(path) for path in config.runs]
+    paths: dict[str, str] = {}
+    for path, run in zip(config.runs, runs):
+        if run.system in paths:
+            raise ConfigError(
+                f"system tag {run.system!r} is in two run files: {paths[run.system]} and {path}"
+            )
+        paths[run.system] = path
     table = parse_alignment(config.alignment)
     rel = parse_qrels(config.qrels) if config.qrels else None
 
-    metrics = list(config.metrics)
+    metrics = list(dict.fromkeys(config.metrics))
     if "eel" in metrics and rel is None:
         print(
             "warning: expected-exposure rows skipped (no judgments configured)",
@@ -486,17 +500,33 @@ def measure(config: SweepConfig) -> list[ResultsRow]:
 COMPARE_KEYS = RESULT_FIELDS[2:-2]
 
 
+def _tau_b(a: np.ndarray, b: np.ndarray) -> float:
+    """Kendall's tau-b (Kendall 1945) of two score vectors over the same
+    systems: concordant minus discordant pairs i < j, divided in turn by the
+    square root of each side's untied pairs; nan when either side ties
+    every pair."""
+    i, j = np.triu_indices(len(a), k=1)
+    sign_a = np.sign(a[j] - a[i])
+    sign_b = np.sign(b[j] - b[i])
+    untied_a = np.count_nonzero(sign_a)
+    untied_b = np.count_nonzero(sign_b)
+    if not untied_a or not untied_b:
+        return float("nan")
+    tau = float(sign_a @ sign_b / np.sqrt(untied_a) / np.sqrt(untied_b))
+    return min(1.0, max(-1.0, tau))
+
+
 def compare_orderings(
     rows: Sequence[ResultsRow], keys: Sequence[str] = COMPARE_KEYS
 ) -> list[dict]:
     """Kendall tau-b between the system orderings of configuration pairs.
 
     Configurations are the distinct values of ``keys`` (plus the metric)
-    among aggregate rows. Pairs sharing fewer than two systems are
-    reported as not comparable rather than failing.
+    among aggregate rows; only configurations of the same metric are
+    paired. Pairs sharing fewer than two systems are reported as not
+    comparable rather than failing. A system with two values for one
+    configuration is an error.
     """
-    from scipy.stats import kendalltau
-
     for key in keys:
         if key not in COMPARE_KEYS:
             raise ConfigError(f"unknown grouping key {key!r}")
@@ -505,37 +535,41 @@ def compare_orderings(
         if row.request != "ALL":
             continue
         key = (row.metric,) + tuple(getattr(row, k) for k in keys)
-        configs.setdefault(key, {})[row.system] = row.value
+        values = configs.setdefault(key, {})
+        if row.system in values:
+            raise MetricError(
+                f"system {row.system!r} has two {row.metric} values for configuration "
+                f"{_config_label(keys, key[1:])}"
+            )
+        values[row.system] = row.value
+    by_metric: dict[str, list[tuple]] = {}
+    for key in sorted(configs):
+        by_metric.setdefault(key[0], []).append(key)
     reports = []
-    ordered = sorted(configs)
-    for i, key_a in enumerate(ordered):
-        for key_b in ordered[i + 1 :]:
-            if key_a[0] != key_b[0]:
-                continue
-            systems = sorted(set(configs[key_a]) & set(configs[key_b]))
-            label_a = _config_label(keys, key_a[1:])
-            label_b = _config_label(keys, key_b[1:])
-            report = {
-                "metric": key_a[0],
-                "config_a": label_a,
-                "config_b": label_b,
-                "n_systems": len(systems),
-            }
-            if len(systems) < 2:
-                report["comparable"] = False
-            else:
-                a = np.array([configs[key_a][s] for s in systems])
-                b = np.array([configs[key_b][s] for s in systems])
-                tau = kendalltau(a, b).statistic
-                deltas = b - a
-                report.update(
-                    comparable=True,
-                    tau=float(tau),
-                    mean_delta=float(deltas.mean()),
-                    max_abs_delta=float(np.abs(deltas).max()),
-                    deltas={s: float(d) for s, d in zip(systems, deltas)},
-                )
-            reports.append(report)
+    for ordered in by_metric.values():
+        for i, key_a in enumerate(ordered):
+            for key_b in ordered[i + 1 :]:
+                systems = sorted(set(configs[key_a]) & set(configs[key_b]))
+                report = {
+                    "metric": key_a[0],
+                    "config_a": _config_label(keys, key_a[1:]),
+                    "config_b": _config_label(keys, key_b[1:]),
+                    "n_systems": len(systems),
+                }
+                if len(systems) < 2:
+                    report["comparable"] = False
+                else:
+                    a = np.array([configs[key_a][s] for s in systems])
+                    b = np.array([configs[key_b][s] for s in systems])
+                    deltas = b - a
+                    report.update(
+                        comparable=True,
+                        tau=_tau_b(a, b),
+                        mean_delta=float(deltas.mean()),
+                        max_abs_delta=float(np.abs(deltas).max()),
+                        deltas={s: float(d) for s, d in zip(systems, deltas)},
+                    )
+                reports.append(report)
     return reports
 
 

@@ -238,6 +238,49 @@ class TestMeasureCommand:
         args[args.index("--columns") + 1] = "12,8"
         assert main(args) == 1
 
+    @pytest.mark.parametrize(
+        "repeated, once",
+        [
+            (
+                ("--geometry", "vertical-linear,vertical-linear"),
+                ("--geometry", "vertical-linear"),
+            ),
+            (
+                ("--reduction", "truncate", "--columns", "5,5"),
+                ("--reduction", "truncate", "--columns", "5"),
+            ),
+            (("--reduction", "rewrap,rewrap"), ("--reduction", "rewrap")),
+            (("--metrics", "awrf,awrf"), ("--metrics", "awrf")),
+        ],
+        ids=["geometry", "columns", "reduction", "metrics"],
+    )
+    def test_repeated_tokens_are_measured_once(self, inputs, tmp_path, repeated, once):
+        expected = tmp_path / "once.csv"
+        got = tmp_path / "repeated.csv"
+        assert main(self.base_args(inputs, expected, once)) == 0
+        assert main(self.base_args(inputs, got, repeated)) == 0
+        assert got.read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize("copy", [False, True], ids=["same-file", "copied-file"])
+    def test_repeated_system_tag_is_config_error(self, inputs, tmp_path, capsys, copy):
+        run_a, _, alignment, _ = inputs
+        second = run_a
+        if copy:
+            second = tmp_path / "copy.run"
+            second.write_bytes(run_a.read_bytes())
+        out = tmp_path / "res.csv"
+        code = main(
+            [
+                "measure", "--run", str(run_a), "--run", str(second),
+                "--alignment", str(alignment), "--geometry", "vertical-linear",
+                "--output", str(out),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"system tag 'sysA' is in two run files: {run_a} and {second}" in err
+        assert not out.exists()
+
     def test_no_layouts_is_config_error(self, inputs, tmp_path):
         run_a, _, alignment, _ = inputs
         code = main(
@@ -836,6 +879,41 @@ class TestCompareCommand:
 
     def test_missing_results_file(self, tmp_path):
         assert main(["compare", "--results", str(tmp_path / "nope.csv")]) == 2
+
+    def test_repeated_aggregate_is_metric_error(self, tmp_path, capsys):
+        path = tmp_path / "results.csv"
+        rows = self.rows_for({("vertical-linear", 1): {"s1": 0.1, "s2": 0.2}})
+        write_results([*rows, rows[0]], path)
+        assert main(["compare", "--results", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "system 's1' has two awrf values for configuration geometry=vertical-linear," in err
+
+    def test_runs_without_scipy(self, tmp_path):
+        """tau-b needs numpy alone: ``compare`` runs in a fresh process
+        where scipy cannot be imported."""
+        path = tmp_path / "results.csv"
+        write_results(
+            self.rows_for(
+                {
+                    ("vertical-linear", 1): {"s1": 0.1, "s2": 0.2, "s3": 0.3, "s4": 0.4},
+                    ("wrapped-grid", 5): {"s1": 0.2, "s2": 0.1, "s3": 0.3, "s4": 0.4},
+                }
+            ),
+            path,
+        )
+        script = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from gridfair.cli import main\n"
+            f"assert main(['compare', '--results', {str(path)!r}]) == 0\n"
+        )
+        src = str(Path(gridfair.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert "tau_b=0.666667 " in done.stdout
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
     def test_undecodable_byte_is_parse_error_naming_its_line(self, tmp_path, capsys, newline):

@@ -21,8 +21,6 @@ import sys
 from dataclasses import fields
 from typing import get_args, get_origin, get_type_hints
 
-import yaml
-
 from .browse import ADJUSTMENTS, BASES, ROW_SKIP, BrowsingModelSpec, attention
 from .core import Ranking
 from .errors import ConfigError, GridfairError, ParseError
@@ -74,6 +72,10 @@ def _ints(text: str) -> list[int]:
 
 
 def _load_config_file(path) -> dict:
+    # Imported here: only a --config file needs it, and it costs every
+    # other command start-up time and memory.
+    import yaml
+
     try:
         text = read_text(path)
     except ParseError as exc:

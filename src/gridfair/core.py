@@ -21,6 +21,56 @@ UNKNOWN_GROUP = "unknown"
 NORMALIZE_TOLERANCE = 1e-6
 
 
+#: Document ids as the API takes them: str, or UTF-8 bytes in a numpy
+#: byte-string array.
+DocIds = Sequence[str] | np.ndarray
+
+
+def encode_ids(ids: DocIds) -> np.ndarray:
+    """Document ids as one array of UTF-8 byte strings; a byte-string array
+    is returned as it is.
+
+    UTF-8 byte order is code point order, so sorting the array sorts the
+    ids as Python sorts the strings. A fixed-width byte string drops
+    trailing NULs, so an id holding a NUL is rejected.
+    """
+    if isinstance(ids, np.ndarray) and ids.dtype.kind == "S":
+        return ids
+    if "\0" in "".join(ids):
+        bad = next(doc for doc in ids if "\0" in doc)
+        raise ShapeError(f"document id {bad!r} holds a NUL")
+    return np.array([doc.encode("utf-8") for doc in ids], dtype=bytes)
+
+
+def argsort_ids(ids: np.ndarray) -> np.ndarray:
+    """Stable argsort of a byte-string array."""
+    # Sort the ids as big-endian 8-byte words: NUL padding sorts first, so
+    # word order is byte-string order, and integers sort faster.
+    words = -(-ids.itemsize // 8)
+    keys = ids.astype(f"S{8 * words}").view(">u8").reshape(len(ids), words)
+    return np.lexsort(keys.T[::-1]) if words > 1 else np.argsort(keys[:, 0], kind="stable")
+
+
+def _find_ids(vocabulary: np.ndarray, ids: DocIds) -> np.ndarray:
+    """The index of each id in a sorted byte-string array of distinct ids;
+    ``len(vocabulary)`` for an id it does not hold."""
+    keys = encode_ids(ids)
+    size = len(vocabulary)
+    if not size:
+        return np.zeros(len(keys), dtype=np.intp)
+    # Keys wider than the vocabulary are searched for by their prefix (a
+    # wider search would copy the vocabulary), then compared whole.
+    narrow = keys.astype(vocabulary.dtype) if keys.itemsize > vocabulary.itemsize else keys
+    at = np.searchsorted(vocabulary, narrow)
+    np.minimum(at, size - 1, out=at)
+    return np.where(vocabulary[at] == keys, at, size)
+
+
+def decode_ids(ids: np.ndarray) -> list[str]:
+    """The UTF-8 values of a byte-string array as str."""
+    return [doc.decode("utf-8") for doc in ids.tolist()]
+
+
 def normalize_weights(weights: Sequence[float]) -> np.ndarray:
     """Validate a group-membership vector and renormalize it to sum 1.
 
@@ -111,17 +161,21 @@ class Ranking:
         return len(self.items)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AlignmentTable:
     """Total map from document id to its group-membership vector.
 
-    Vectors are rows of one read-only matrix whose last row is the
-    unknown-group unit vector: documents that were never labeled map to
-    it, so the table can be applied to any ranking.
+    Vectors are rows of one read-only matrix, in the order the documents
+    were given, whose last row is the unknown-group unit vector: documents
+    that were never labeled map to it, so the table can be applied to any
+    ranking. The documents' ids are held sorted, as UTF-8 byte strings in
+    one array (``_ids``), next to the matrix row of each (``_rows``, which
+    ends with the unknown row, the row of every id not held).
     """
 
     schema: GroupSchema
-    _rows: Mapping[str, int]
+    _ids: np.ndarray
+    _rows: np.ndarray
     _matrix: np.ndarray
 
     @classmethod
@@ -145,9 +199,11 @@ class AlignmentTable:
         return cls.from_rows(schema, docs, raw)
 
     @classmethod
-    def from_rows(cls, schema: GroupSchema, docs: Sequence[str], raw: np.ndarray) -> "AlignmentTable":
+    def from_rows(cls, schema: GroupSchema, docs: DocIds, raw: np.ndarray) -> "AlignmentTable":
         """Table whose document ``docs[i]`` has the membership vector
-        ``raw[i]``, with the checks and normalization of :meth:`from_weights`."""
+        ``raw[i]``, with the checks and normalization of :meth:`from_weights`.
+        The documents are distinct: str, or a UTF-8 byte-string array."""
+        ids = encode_ids(docs)
         total = raw.sum(axis=1)
         invalid = (
             ~np.isfinite(raw).all(axis=1)
@@ -156,31 +212,52 @@ class AlignmentTable:
             | (np.abs(total - 1.0) > NORMALIZE_TOLERANCE)
         )
         for i in np.flatnonzero(invalid).tolist():
-            _check_vector(docs[i], raw[i], schema)
-        matrix = np.empty((len(docs) + 1, schema.size))
+            _check_vector(ids[i].decode("utf-8"), raw[i], schema)
+        matrix = np.empty((len(ids) + 1, schema.size))
         np.divide(raw, total[:, None], out=matrix[:-1])
         matrix[-1] = schema.unknown_vector()
         matrix.flags.writeable = False
-        return cls(schema, dict(zip(docs, range(len(docs)))), matrix)
+        order = argsort_ids(ids)
+        return cls(schema, ids[order], np.append(order, len(ids)), matrix)
+
+    def __eq__(self, other):
+        if not isinstance(other, AlignmentTable):
+            return NotImplemented
+        # The same ids in the same matrix rows are the same documents in
+        # the same order.
+        return (
+            self.schema == other.schema
+            and np.array_equal(self._ids, other._ids)
+            and np.array_equal(self._rows, other._rows)
+            # Bitwise, so NaN and signed zeros compare as they are stored.
+            and np.array_equal(self._matrix.view(np.int64), other._matrix.view(np.int64))
+        )
+
+    __hash__ = None
 
     def __contains__(self, doc: str) -> bool:
-        return doc in self._rows
+        if not isinstance(doc, str) or "\0" in doc:
+            return False
+        return _find_ids(self._ids, [doc])[0] < len(self)
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._ids)
 
     def documents(self) -> tuple[str, ...]:
-        return tuple(self._rows)
+        """The documents' ids, in the order they were given."""
+        return tuple(decode_ids(self._ids[np.argsort(self._rows[:-1])]))
+
+    def ids(self) -> np.ndarray:
+        """The documents' UTF-8 ids, sorted, as one byte-string array."""
+        return self._ids
 
     def vector(self, doc: str) -> np.ndarray:
-        return self._matrix[self._rows.get(doc, -1)]
+        return self._matrix[self._rows[_find_ids(self._ids, [doc])[0]]]
 
-    def matrix(self, items: Sequence[str]) -> np.ndarray:
-        """Membership matrix (one row per item, one column per group)."""
-        rows = self._rows
-        unknown = repeat(len(rows), len(items))
-        index = np.fromiter(map(rows.get, items, unknown), dtype=np.intp, count=len(items))
-        return self._matrix[index]
+    def matrix(self, items: DocIds) -> np.ndarray:
+        """Membership matrix (one row per item, one column per group);
+        ``items`` are str or a UTF-8 byte-string array."""
+        return self._matrix[self._rows[_find_ids(self._ids, items)]]
 
 
 def _check_vector(doc: str, weights: Sequence[float], schema: GroupSchema) -> None:
@@ -196,10 +273,11 @@ def _check_vector(doc: str, weights: Sequence[float], schema: GroupSchema) -> No
 class RelevanceJudgments:
     """Graded relevance per (request, document); absent pairs read as 0.
 
-    Held as columns: the sorted names of the judged requests and of the
-    judged documents, and each judgment as a (request, document) key with
-    its grade, sorted by key. A request's judgments are thus one slice,
-    sorted by document, and its largest grade is precomputed.
+    Held as columns: the sorted names of the judged requests, the sorted
+    ids of the judged documents as UTF-8 byte strings in one array, and
+    each judgment as a (request, document) key with its grade, sorted by
+    key. A request's judgments are thus one slice, sorted by document, and
+    its largest grade is precomputed.
     """
 
     def __init__(self, grades: Mapping[tuple[str, str], float] | None = None):
@@ -221,30 +299,31 @@ class RelevanceJudgments:
     def from_columns(
         cls,
         requests: Sequence[str],
-        docs: Sequence[str],
+        docs: DocIds,
         request_codes: np.ndarray,
         doc_codes: np.ndarray,
         grades: np.ndarray,
     ) -> "RelevanceJudgments":
         """Judgments of the distinct pairs ``(requests[request_codes[i]],
-        docs[doc_codes[i]])``; both name lists sorted and distinct."""
+        docs[doc_codes[i]])``; both name lists sorted and distinct, the
+        documents as str or a UTF-8 byte-string array."""
         self = cls.__new__(cls)
         self._init(requests, docs, request_codes, doc_codes, grades)
         return self
 
     def _init(self, requests, docs, request_codes, doc_codes, grades):
+        docs = encode_ids(docs)
         grades = np.asarray(grades, dtype=np.float64)
         negative = np.flatnonzero(grades < 0)
         if negative.size:
             i = negative[0]
-            key = (requests[request_codes[i]], docs[doc_codes[i]])
+            key = (requests[request_codes[i]], docs[doc_codes[i]].decode("utf-8"))
             raise ShapeError(f"negative relevance grade for {key}: {float(grades[i])}")
         keys = np.asarray(request_codes, dtype=np.int64) * len(docs) + doc_codes
         order = np.argsort(keys, kind="stable")
         self._requests = tuple(requests)
-        self._docs = tuple(docs)
+        self._docs = docs
         self._request_index = dict(zip(self._requests, range(len(self._requests))))
-        self._doc_index = dict(zip(self._docs, range(len(self._docs))))
         self._keys = keys[order]
         self._grades = grades[order]
         # fmax skips NaN, as a scan keeping the largest grade above 0 does.
@@ -256,7 +335,7 @@ class RelevanceJudgments:
             return NotImplemented
         return (
             self._requests == other._requests
-            and self._docs == other._docs
+            and np.array_equal(self._docs, other._docs)
             and np.array_equal(self._keys, other._keys)
             and np.array_equal(self._grades, other._grades)
         )
@@ -269,28 +348,28 @@ class RelevanceJudgments:
     def grade(self, request: str, doc: str) -> float:
         return float(self.grades(request, (doc,))[0])
 
-    def grades(self, request: str, items: Sequence[str]) -> np.ndarray:
+    def grades(self, request: str, items: DocIds) -> np.ndarray:
         return self.lookup((request,), items, np.zeros(len(items), np.intp), np.arange(len(items)))
 
     def lookup(
         self,
         requests: Sequence[str],
-        docs: Sequence[str],
+        docs: DocIds,
         request_codes: np.ndarray,
         doc_codes: np.ndarray,
     ) -> np.ndarray:
         """Grades of the pairs ``(requests[request_codes[i]],
-        docs[doc_codes[i]])``. Each name is looked up once, so a batch of
-        pairs over shared name lists costs one array search."""
+        docs[doc_codes[i]])``; ``docs`` are str or a UTF-8 byte-string
+        array. Each name is looked up once, so a batch of pairs over shared
+        name lists costs one array search."""
         if not len(self._keys):
             return np.zeros(len(request_codes))
         to_request = np.fromiter(map(self._request_index.get, requests, repeat(-1)), np.int64)
-        to_doc = np.fromiter(map(self._doc_index.get, docs, repeat(-1)), np.int64)
         request_codes = to_request[request_codes]
-        doc_codes = to_doc[doc_codes]
+        doc_codes = _find_ids(self._docs, docs)[doc_codes]
         keys = request_codes * len(self._docs) + doc_codes
         at = np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
-        found = (request_codes >= 0) & (doc_codes >= 0) & (self._keys[at] == keys)
+        found = (request_codes >= 0) & (doc_codes < len(self._docs)) & (self._keys[at] == keys)
         return np.where(found, self._grades[at], 0.0)
 
     def max_grade(self, request: str) -> float:

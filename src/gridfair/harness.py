@@ -259,16 +259,16 @@ class _RunRows:
         union_request = union // n_docs
         self.union_bounds = np.searchsorted(union_request, np.arange(stop - first + 1))
         needed, doc_of = np.unique(union % n_docs, return_inverse=True)
-        self.doc_names = [run.docs[i] for i in needed.tolist()]
+        self.docs = run.docs[needed]
         self.doc_of = doc_of
-        self.members = table.matrix(self.doc_names)[doc_of]
+        self.members = table.matrix(self.docs)[doc_of]
         # Without judgments every grade is 0: cascade then continues with
         # alpha everywhere, as geometric does.
         if rel is None:
             self.grades = np.zeros(len(union))
         else:
             requests = run.requests()[first:stop]
-            self.grades = rel.lookup(requests, self.doc_names, union_request, doc_of)
+            self.grades = rel.lookup(requests, self.docs, union_request, doc_of)
         self.n_rankings = len(lengths)
         self.request_of = list_request
 
@@ -297,10 +297,10 @@ class _RunRows:
             for qs in [np.flatnonzero(self.counts == c)]
         ]
 
-    def unions(self) -> list[list[str]]:
-        """Each request's union of sampled documents, by name."""
+    def unions(self) -> list[np.ndarray]:
+        """Each request's union of sampled documents, as sorted ids."""
         return [
-            [self.doc_names[i] for i in self.doc_of[a:b].tolist()]
+            self.docs[self.doc_of[a:b]]
             for a, b in zip(self.union_bounds[:-1].tolist(), self.union_bounds[1:].tolist())
         ]
 

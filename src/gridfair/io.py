@@ -8,12 +8,14 @@ from, a byte that is not UTF-8 included.
 
 Run, judgment and alignment files are read as bytes once and tokenized
 with numpy over the whole buffer: numeric columns are converted from
-fixed-width byte columns, id columns are interned (sorted, decoding only
-the distinct names), and every check runs in bulk, so no Python object is
-built per record. On any failed check, and on input that reader leaves
-alone (control bytes, non-ASCII whitespace, very wide fields), the file is
-read again line by line, which names the first bad line and gives odd
-input the meaning ``str.split`` gives it.
+fixed-width byte columns, id columns are interned (sorted), and every
+check runs in bulk, so no Python object is built per record. Document ids
+stay UTF-8 bytes, in sorted byte-string arrays; request and group names
+are decoded. On any failed check, and on input that reader leaves alone
+(control bytes, non-ASCII whitespace, very wide fields), the file is read
+again line by line, which names the first bad line and gives odd input
+the meaning ``str.split`` gives it. A NUL byte in a document id, which a
+fixed-width byte string cannot keep, is a parse error naming its line.
 """
 
 from __future__ import annotations
@@ -30,8 +32,17 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence, get_type_hints
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import AlignmentTable, GroupSchema, Ranking, RelevanceJudgments
+from .core import (
+    AlignmentTable,
+    GroupSchema,
+    Ranking,
+    RelevanceJudgments,
+    argsort_ids,
+    decode_ids,
+    encode_ids,
+)
 from .errors import MetricError, ParseError
 
 
@@ -39,9 +50,9 @@ from .errors import MetricError, ParseError
 class RunFile:
     """Parsed ranked output of one system, held as columns.
 
-    ``docs`` are the distinct document names, sorted, and ``doc_codes``
-    every ranked document as an index into them, ordered by (request,
-    sample, rank). Sampled list ``i`` is
+    ``docs`` are the distinct document ids, sorted, as UTF-8 byte strings
+    in one array, and ``doc_codes`` every ranked document as an index into
+    them, ordered by (request, sample, rank). Sampled list ``i`` is
     ``doc_codes[list_offsets[i]:list_offsets[i + 1]]`` with the given
     ``scores``, and request ``j`` of :meth:`requests` owns the lists
     ``request_offsets[j]`` to ``request_offsets[j + 1]``, ordered by
@@ -50,7 +61,7 @@ class RunFile:
 
     system: str
     request_names: tuple[str, ...]
-    docs: tuple[str, ...]
+    docs: np.ndarray
     doc_codes: np.ndarray
     scores: np.ndarray
     samples: tuple[int, ...]
@@ -59,19 +70,20 @@ class RunFile:
 
     @classmethod
     def from_rankings(cls, system: str, rankings: Mapping[str, Sequence[Ranking]]) -> "RunFile":
-        """Columns of ``{request: scored rankings ordered by sample}``."""
+        """Columns of ``{request: rankings ordered by sample}``; a ranking
+        without scores gets the ones :func:`write_run` writes for it."""
         requests = sorted(rankings)
         lists = [ranking for request in requests for ranking in rankings[request]]
         docs = sorted({doc for ranking in lists for doc in ranking.items})
         code = {doc: i for i, doc in enumerate(docs)}
         items = [doc for ranking in lists for doc in ranking.items]
-        scores = [score for ranking in lists for score in ranking.scores]
+        scores = [score for ranking in lists for score in _scores(ranking)]
         lengths = [len(ranking) for ranking in lists]
         counts = [len(rankings[request]) for request in requests]
         return cls(
             system,
             tuple(requests),
-            tuple(docs),
+            encode_ids(docs),
             np.array([code[doc] for doc in items], dtype=np.int32),
             np.array(scores, dtype=np.float64),
             tuple(ranking.sample for ranking in lists),
@@ -85,15 +97,17 @@ class RunFile:
     @cached_property
     def rankings(self) -> Mapping[str, tuple[Ranking, ...]]:
         """Request id to its sampled rankings, ordered by sample index; a
-        request's :class:`Ranking` objects are built when it is first read."""
+        request's :class:`Ranking` objects are built each time it is read,
+        so the run holds no object per ranked document."""
         return _Rankings(self)
 
     def __eq__(self, other):
         if not isinstance(other, RunFile):
             return NotImplemented
         return (
-            (self.system, self.request_names, self.docs, self.samples)
-            == (other.system, other.request_names, other.docs, other.samples)
+            (self.system, self.request_names, self.samples)
+            == (other.system, other.request_names, other.samples)
+            and np.array_equal(self.docs, other.docs)
             and np.array_equal(self.doc_codes, other.doc_codes)
             # Bitwise, so NaN scores compare equal to themselves.
             and np.array_equal(self.scores.view(np.int64), other.scores.view(np.int64))
@@ -110,16 +124,10 @@ class _Rankings(Mapping):
     def __init__(self, run: RunFile):
         self._run = run
         self._index = dict(zip(run.request_names, range(len(run.request_names))))
-        self._built: dict[str, tuple[Ranking, ...]] = {}
 
     def __getitem__(self, request: str) -> tuple[Ranking, ...]:
-        built = self._built.get(request)
-        if built is None:
-            built = self._built[request] = self._build(request, self._index[request])
-        return built
-
-    def _build(self, request: str, j: int) -> tuple[Ranking, ...]:
         run = self._run
+        j = self._index[request]
         out = []
         for i in range(run.request_offsets[j], run.request_offsets[j + 1]):
             span = slice(run.list_offsets[i], run.list_offsets[i + 1])
@@ -127,7 +135,7 @@ class _Rankings(Mapping):
                 Ranking(
                     request=request,
                     sample=run.samples[i],
-                    items=tuple(run.docs[c] for c in run.doc_codes[span].tolist()),
+                    items=tuple(decode_ids(run.docs[run.doc_codes[span]])),
                     scores=tuple(run.scores[span].tolist()),
                 )
             )
@@ -218,47 +226,85 @@ _HASH = ord("#")
 _SPACE = ord(" ")
 
 
+# The widest field the columnar reader takes; the buffer ends with this
+# many NUL bytes, so a window of any field's width fits from every offset.
+_PAD = 4096
+# Offsets are found this many bytes at a time.
+_CHUNK = 1 << 16
+
+
 def _buffer(raw: bytes) -> np.ndarray:
-    """The file's bytes plus a final line break, when the columnar reader
-    splits them into fields as ``str.split()`` would split the decoded
-    lines. Control bytes other than tab, CR and LF are declined:
-    ``str.split()`` reads some as whitespace, and a NUL would vanish from
-    the end of a fixed-width byte string."""
-    buf = np.frombuffer(raw + b"\n", dtype=np.uint8)
-    control = buf[buf < _SPACE]
+    """The file's bytes, a final line break and ``_PAD`` NUL bytes, when
+    the columnar reader splits them into fields as ``str.split()`` would
+    split the decoded lines. Control bytes other than tab, CR and LF are
+    declined: ``str.split()`` reads some as whitespace, and a NUL would
+    vanish from the end of a fixed-width byte string. The splitters read
+    the padding as whitespace past the last line."""
+    data = np.frombuffer(raw, dtype=np.uint8)
+    if len(data) >= 2**31 - 1 - _PAD:
+        raise _Declined  # offsets are int32
+    control = data[data < _SPACE]
     if ((control != ord("\t")) & (control != ord("\n")) & (control != ord("\r"))).any():
         raise _Declined
-    if (buf >= 0x80).any():
+    if (data >= 0x80).any():
         try:
             text = raw.decode("utf-8")
         except UnicodeDecodeError:
             raise _Declined from None
         if _UNICODE_SPACE.search(text):
             raise _Declined
+    buf = np.zeros(len(data) + 1 + _PAD, dtype=np.uint8)
+    buf[: len(data)] = data
+    buf[len(data)] = ord("\n")
     return buf
 
 
+def _offsets(mask: np.ndarray) -> np.ndarray:
+    """``np.flatnonzero(mask)`` as int32, found a chunk at a time, so no
+    int64 index of the whole buffer is built."""
+    out = np.empty(np.count_nonzero(mask), dtype=np.int32)
+    at = 0
+    for lo in range(0, len(mask), _CHUNK):
+        found = np.flatnonzero(mask[lo : lo + _CHUNK])
+        found += lo
+        out[at : at + len(found)] = found
+        at += len(found)
+    return out
+
+
 def _breaks(buf: np.ndarray) -> np.ndarray:
-    return np.flatnonzero((buf == ord("\n")) | (buf == ord("\r")))
+    """Offsets of the line breaks: every CR and LF byte, ascending."""
+    lf = _offsets(buf == ord("\n"))
+    cr = _offsets(buf == ord("\r"))
+    return np.sort(np.concatenate((lf, cr))) if len(cr) else lf
 
 
 def _split_records(buf: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
     """Start and end offsets of the whitespace-separated fields of every
     record line, each shaped (records, width)."""
-    edges = np.diff(np.concatenate(([True], buf <= _SPACE, [True])).view(np.int8))
-    starts = np.flatnonzero(edges == -1)
-    ends = np.flatnonzero(edges == 1)
+    space = buf <= _SPACE
+    edge = np.empty_like(space)
+    edge[0] = not space[0]
+    np.not_equal(space[1:], space[:-1], out=edge[1:])
+    del space
+    # The buffer ends in whitespace, so the edges are each field's start
+    # and end in turn.
+    bounds = _offsets(edge).reshape(-1, 2)
+    del edge
+    starts = bounds[:, 0]
     # A line's first field is the first one after a line break.
-    leads = np.zeros(len(starts) + 1, dtype=bool)
+    leads = np.zeros(len(bounds) + 1, dtype=bool)
     leads[0] = True
     leads[np.searchsorted(starts, _breaks(buf))] = True
     first = np.flatnonzero(leads[:-1])
-    counts = np.diff(first, append=len(starts))
+    counts = np.diff(first, append=len(bounds))
     record = buf[starts[first]] != _HASH
     if (counts[record] != width).any():
         raise _Declined
-    keep = np.repeat(record, counts)
-    return starts[keep].reshape(-1, width), ends[keep].reshape(-1, width)
+    if not record.all():
+        bounds = bounds[np.repeat(record, counts)]
+    bounds = bounds.reshape(-1, width, 2)
+    return bounds[:, :, 0], bounds[:, :, 1]
 
 
 def _split_tab_records(buf: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
@@ -266,13 +312,13 @@ def _split_tab_records(buf: np.ndarray, width: int) -> tuple[np.ndarray, np.ndar
     line, each stripped of surrounding whitespace and shaped (records,
     width)."""
     breaks = _breaks(buf)
-    line_start = np.concatenate(([0], breaks[:-1] + 1))
+    line_start = np.concatenate(([0], breaks[:-1] + 1)).astype(np.int32)
     line_end = breaks
     lead = _skip_space(buf, line_start, line_end)
     record = lead < line_end
     record[record] = buf[lead[record]] != _HASH
     line_start, line_end = line_start[record], line_end[record]
-    tabs = np.flatnonzero(buf == ord("\t"))
+    tabs = _offsets(buf == ord("\t"))
     first_tab = np.searchsorted(tabs, line_start)
     if (np.searchsorted(tabs, line_end) - first_tab != width - 1).any():
         raise _Declined
@@ -283,7 +329,7 @@ def _split_tab_records(buf: np.ndarray, width: int) -> tuple[np.ndarray, np.ndar
     # non-space byte at its start).
     back = (starts < ends) & (buf[ends - 1] <= _SPACE)
     if back.any():
-        solid = np.flatnonzero(buf > _SPACE)
+        solid = _offsets(buf > _SPACE)
         ends[back] = solid[np.searchsorted(solid, ends[back]) - 1] + 1
     return starts, ends
 
@@ -294,7 +340,7 @@ def _skip_space(buf: np.ndarray, at: np.ndarray, stop: np.ndarray) -> np.ndarray
     out = at.copy()
     look = (at < stop) & (buf[at] <= _SPACE)
     if look.any():
-        solid = np.flatnonzero(buf > _SPACE)
+        solid = _offsets(buf > _SPACE)
         out[look] = np.append(solid, len(buf))[np.searchsorted(solid, at[look])]
     return np.minimum(out, stop)
 
@@ -304,13 +350,13 @@ def _column(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray
     array (shorter fields NUL-padded, which numpy reads as their end)."""
     lengths = ends - starts
     width = max(int(lengths.max(initial=0)), 1)
-    if width * len(starts) > 2 * len(buf) + 4096:  # a few very wide fields
+    if width > _PAD or width * len(starts) > 2 * len(buf) + 4096:  # very wide fields
         raise _Declined
-    out = np.zeros((len(starts), width), dtype=np.uint8)
-    offsets = np.cumsum(lengths) - lengths
-    out[np.arange(width) < lengths[:, None]] = buf[
-        np.repeat(starts - offsets, lengths) + np.arange(int(lengths.sum()))
-    ]
+    # Each field's window of the buffer (the padding holds the last ones),
+    # with the bytes past the field cleared one byte column at a time.
+    out = sliding_window_view(buf, width)[starts]
+    for j in range(width):
+        out[lengths <= j, j] = 0
     return out.view(f"S{width}").ravel()
 
 
@@ -323,24 +369,17 @@ def _numbers(column: np.ndarray, dtype) -> np.ndarray:
         raise _Declined from None
 
 
-def _intern(column: np.ndarray) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """The distinct names of a byte-string column, sorted (UTF-8 byte order
-    is code point order) and decoded; the row each is first seen in; and
-    each row's index among them."""
-    # Sort the fields as big-endian 8-byte words: NUL padding sorts first,
-    # so word order is byte-string order, and integers sort faster.
-    words = -(-column.itemsize // 8)
-    keys = column.astype(f"S{8 * words}").view(">u8").reshape(len(column), words)
-    order = np.lexsort(keys.T[::-1]) if words > 1 else np.argsort(keys[:, 0], kind="stable")
-    ordered = keys[order]
+def _intern(column: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct values of a byte-string column, sorted (UTF-8 byte
+    order is code point order); the row each is first seen in; and each
+    row's index among them."""
+    order = argsort_ids(column)
+    ordered = column[order]
     new = np.ones(len(order), dtype=bool)
-    np.any(ordered[1:] != ordered[:-1], axis=1, out=new[1:])
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
     codes = np.empty(len(order), dtype=np.int32)
     codes[order] = np.cumsum(new) - 1
-    first = order[new]  # the sorts are stable
-    # One decode for all names: a field never holds a line break.
-    names = b"\n".join(column[first].tolist()).decode("utf-8").split("\n") if len(first) else []
-    return names, first, codes
+    return ordered[new], order[new], codes  # the sort is stable
 
 
 def _repeats(keys: np.ndarray) -> bool:
@@ -370,7 +409,9 @@ def _run_columns(raw: bytes) -> RunFile:
     starts, ends = _split_records(buf, 6)
     if not len(starts):
         raise _Declined
+    system = raw[starts[0, 5] : ends[0, 5]].decode("utf-8")
     request, it, doc, rank, score = (_column(buf, starts[:, j], ends[:, j]) for j in range(5))
+    del buf, starts, ends
     requests, _, request = _intern(request)
     docs, _, doc = _intern(doc)
     sample = _numbers(np.where(it == b"Q0", b"0", it), np.int64)
@@ -392,9 +433,9 @@ def _run_columns(raw: bytes) -> RunFile:
     list_request = request[list_starts]
     new_request = np.flatnonzero(np.diff(list_request, prepend=-1))
     return RunFile(
-        system=raw[starts[0, 5] : ends[0, 5]].decode("utf-8"),
-        request_names=tuple(requests),
-        docs=tuple(docs),
+        system=system,
+        request_names=tuple(decode_ids(requests)),
+        docs=docs,
         doc_codes=doc,
         scores=score[order],
         samples=tuple(sample[list_starts].tolist()),
@@ -414,6 +455,7 @@ def _parse_run_lines(path, raw: bytes) -> RunFile:
         if len(parts) != 6:
             raise ParseError(path, lineno, f"expected 6 columns, got {len(parts)}")
         qid, it, docid, rank_s, score_s, tag = parts
+        _check_id(path, lineno, docid)
         if it == "Q0":
             sample = 0
         else:
@@ -464,15 +506,26 @@ def _parse_run_lines(path, raw: bytes) -> RunFile:
     return RunFile.from_rankings(system, ordered)
 
 
+def _check_id(path, lineno: int, doc: str) -> None:
+    """A NUL in a document id is a parse error: ids are held as fixed-width
+    byte strings, which drop trailing NULs."""
+    if "\0" in doc:
+        raise ParseError(path, lineno, f"document id {doc!r} holds a NUL byte")
+
+
+def _scores(ranking: Ranking) -> tuple[float, ...]:
+    """A ranking's scores; without them, ``len - rank``, highest first."""
+    if ranking.scores is not None:
+        return ranking.scores
+    return tuple(float(len(ranking.items) - i) for i in range(len(ranking.items)))
+
+
 def write_run(rankings: Iterable[Ranking], system: str, path) -> None:
     """Write rankings in the six-column run format, 0-based ranks."""
     ordered = sorted(rankings, key=lambda r: (r.request, r.sample))
     with open(path, "w", encoding="utf-8", newline="\n") as out:
         for ranking in ordered:
-            scores = ranking.scores or tuple(
-                float(len(ranking.items) - i) for i in range(len(ranking.items))
-            )
-            for rank, (doc, score) in enumerate(zip(ranking.items, scores)):
+            for rank, (doc, score) in enumerate(zip(ranking.items, _scores(ranking))):
                 out.write(
                     f"{ranking.request} {ranking.sample} {doc} {rank} "
                     f"{_fmt(score)} {system}\n"
@@ -501,30 +554,44 @@ def _alignment_columns(raw: bytes) -> AlignmentTable:
     weight = _numbers(_column(buf, starts[:, 2], ends[:, 2]), np.float64)
     if not (np.isfinite(weight) & (weight >= 0)).all():
         raise _Declined
-    names, first, doc = _intern(_column(buf, starts[:, 0], ends[:, 0]))
+    ids, first, doc = _intern(_column(buf, starts[:, 0], ends[:, 0]))
+    groups, _, group = _intern(_column(buf, starts[:, 1], ends[:, 1]))
+    del buf, starts, ends
     # Renumber the documents in the order they are first seen.
     seen = np.argsort(first)
     doc = np.argsort(seen)[doc]
-    docs = [names[i] for i in seen.tolist()]
-    groups, _, group = _intern(_column(buf, starts[:, 1], ends[:, 1]))
+    groups = decode_ids(groups)
     schema = GroupSchema.from_groups(groups)
     group = np.array([schema.index(name) for name in groups], dtype=np.intp)[group]
-    # Each document's total adds its groups in the order first seen for it.
-    pairs, first_row = np.unique(doc * schema.size + group, return_index=True)
-    pairs = pairs[np.lexsort((first_row, pairs // schema.size))]
-    pair_doc = pairs // schema.size
+    shares = _shares(doc, group, weight, len(ids), schema.size)
+    # The per-row arrays go before the table is built, which keeps them out
+    # of the reader's peak memory.
+    del doc, group, weight
+    return AlignmentTable.from_rows(schema, ids[seen], shares)
+
+
+def _shares(
+    doc: np.ndarray, group: np.ndarray, weight: np.ndarray, docs: int, groups: int
+) -> np.ndarray:
+    """Each document's weights summed per group, over its total. A total
+    adds the document's groups in the order first seen for it, as
+    row-by-row sums do."""
+    pairs, first_row = np.unique(doc * groups + group, return_index=True)
+    pairs = pairs[np.lexsort((first_row, pairs // groups))]
+    pair_doc = pairs // groups
     place = np.arange(len(pairs)) - np.searchsorted(pair_doc, pair_doc)
-    acc = np.zeros((len(docs), schema.size))
-    by_place = np.zeros((len(docs), schema.size))
+    acc = np.zeros((docs, groups))
+    by_place = np.zeros((docs, groups))
     with np.errstate(over="ignore"):
         np.add.at(acc, (doc, group), weight)  # in file order, as row-by-row sums
-        by_place[pair_doc, place] = acc[pair_doc, pairs % schema.size]
+        by_place[pair_doc, place] = acc[pair_doc, pairs % groups]
         total = by_place[:, 0].copy()
         for k in range(1, int(place.max(initial=0)) + 1):
             total += by_place[:, k]
     if not (np.isfinite(total) & (total > 0)).all():
         raise _Declined  # an all-zero document, or sums beyond the float range
-    return AlignmentTable.from_rows(schema, docs, acc / total[:, None])
+    acc /= total[:, None]
+    return acc
 
 
 def _parse_alignment_lines(path, raw: bytes) -> AlignmentTable:
@@ -539,6 +606,7 @@ def _parse_alignment_lines(path, raw: bytes) -> AlignmentTable:
         docid, group, weight_s = (p.strip() for p in parts)
         if not docid or not group:
             raise ParseError(path, lineno, "empty document or group name")
+        _check_id(path, lineno, docid)
         try:
             weight = float(weight_s)
         except ValueError:
@@ -580,6 +648,7 @@ def _qrels_columns(raw: bytes) -> RelevanceJudgments:
     buf = _buffer(raw)
     starts, ends = _split_records(buf, 4)
     request, doc, grade = (_column(buf, starts[:, j], ends[:, j]) for j in (0, 2, 3))
+    del buf, starts, ends
     grade = _numbers(grade, np.float64)
     if not (np.isfinite(grade) & (grade >= 0)).all():
         raise _Declined
@@ -587,7 +656,7 @@ def _qrels_columns(raw: bytes) -> RelevanceJudgments:
     docs, _, doc = _intern(doc)
     if _repeats(request.astype(np.int64) * len(docs) + doc):
         raise _Declined  # a repeated (request, document) judgment
-    return RelevanceJudgments.from_columns(requests, docs, request, doc, grade)
+    return RelevanceJudgments.from_columns(decode_ids(requests), docs, request, doc, grade)
 
 
 def _parse_qrels_lines(path, raw: bytes) -> RelevanceJudgments:
@@ -598,6 +667,7 @@ def _parse_qrels_lines(path, raw: bytes) -> RelevanceJudgments:
         if len(parts) != 4:
             raise ParseError(path, lineno, f"expected 4 columns, got {len(parts)}")
         qid, _, docid, grade_s = parts
+        _check_id(path, lineno, docid)
         try:
             grade = float(grade_s)
         except ValueError:

@@ -20,7 +20,15 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .browse import BrowsingModelSpec, attention
-from .core import UNKNOWN_GROUP, AlignmentTable, GroupSchema, Ranking, RelevanceJudgments
+from .core import (
+    UNKNOWN_GROUP,
+    AlignmentTable,
+    DocIds,
+    GroupSchema,
+    Ranking,
+    RelevanceJudgments,
+    encode_ids,
+)
 from .errors import MetricError, ShapeError
 from .layout import GridLayout, RenderPlan, render
 
@@ -89,7 +97,7 @@ def group_exposure(attention_weights: np.ndarray, alignment: np.ndarray) -> np.n
 def population_estimator(
     estimator: PopulationEstimator,
     table: AlignmentTable,
-    docs: Sequence[str] | None = None,
+    docs: DocIds | None = None,
 ) -> np.ndarray:
     """Materialize the target group distribution.
 
@@ -113,13 +121,12 @@ def population_estimator(
         if abs(total - 1.0) > _TARGET_TOLERANCE:
             raise MetricError(f"fixed target sums to {total}, expected 1")
         return vec / total
-    if estimator.mode == "retrieved":
-        if docs is None:
-            raise MetricError("retrieved estimator requires the retrieved documents")
-        universe = sorted(docs)
-    else:  # catalog
-        universe = sorted(docs) if docs is not None else sorted(table.documents())
-    if not universe:
+    if estimator.mode == "retrieved" and docs is None:
+        raise MetricError("retrieved estimator requires the retrieved documents")
+    # catalog, or retrieved: rows averaged in sorted order (UTF-8 byte order
+    # is code point order)
+    universe = table.ids() if docs is None else np.sort(encode_ids(docs))
+    if not len(universe):
         raise MetricError("population estimator over an empty document set")
     return table.matrix(universe).mean(axis=0)
 
@@ -223,7 +230,7 @@ def target_exposure(
     """
     if not docs:
         raise MetricError("target exposure needs at least one document")
-    grades = {d: rel.grade(request, d) for d in docs}
+    grades = dict(zip(docs, rel.grades(request, docs).tolist()))
     ordered = sorted(docs, key=lambda d: (-grades[d], d))
     ideal = Ranking(request=request, sample=0, items=tuple(ordered))
     grid = _as_renderer(layout)(ideal)

@@ -85,7 +85,7 @@ def greedy_rerank(
     )
     grades = rel.grades(ranking.request, items) if rel is not None else np.zeros(n)
     cont = continuations(grades, spec.browsing)
-    vectors = [table.vector(doc) for doc in items]
+    vectors = table.matrix(items)
     group_idx = [
         schema.index(_strongest_group(vec, schema.names)) for vec in vectors
     ]

@@ -200,6 +200,23 @@ class TestMeasureCommand:
         assert done.returncode == 0, done.stderr
         assert done.stdout.split()[-1] == "False"
 
+    def test_measure_without_config_does_not_need_yaml(self, inputs, tmp_path):
+        """Only a ``--config`` file is read with yaml, so a sweep without
+        one runs where yaml cannot be imported."""
+        args = self.base_args(inputs, tmp_path / "res.csv")
+        script = (
+            "import sys\n"
+            "sys.modules['yaml'] = None\n"
+            "from gridfair.cli import main\n"
+            f"assert main({args!r}) == 0\n"
+        )
+        src = str(Path(gridfair.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+
     def test_eel_needs_qrels(self, inputs, tmp_path, capsys):
         out = tmp_path / "res.csv"
         args = self.base_args(inputs, out, ("--metrics", "awrf,eel"))

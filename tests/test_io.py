@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gridfair import MetricError, ParseError, Ranking, ResultsRow, parse_alignment, parse_qrels, parse_run
-from gridfair.io import read_results, write_results, write_run
+from gridfair.io import RunFile, read_results, write_results, write_run
 
 
 def write(tmp_path, name, text):
@@ -83,6 +83,20 @@ class TestParseRun:
             got = [r for r in back.rankings[ranking.request] if r.sample == ranking.sample]
             assert len(got) == 1
             assert got[0].items == ranking.items
+
+    def test_rankings_without_scores_round_trip(self, tmp_path):
+        """A ranking without scores gets the scores write_run writes for it,
+        ``len - rank``, so its columns equal the written file's."""
+        rankings = [
+            Ranking("q1", 0, ("d2", "d1", "d3")),
+            Ranking("q1", 1, ("d1",)),
+            Ranking("q2", 0, ("d9", "d8")),
+        ]
+        run = RunFile.from_rankings("sysZ", {"q1": tuple(rankings[:2]), "q2": (rankings[2],)})
+        assert run.rankings["q1"][0].scores == (3.0, 2.0, 1.0)
+        path = tmp_path / "round.run"
+        write_run(rankings, "sysZ", path)
+        assert parse_run(path) == run
 
 
 class TestParseAlignment:

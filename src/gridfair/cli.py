@@ -263,8 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_att = sub.add_parser("attention", help="print a browsing model's weight table")
     p_att.add_argument("--length", type=int, required=True)
-    p_att.add_argument("--geometry", help="vertical-linear | horizontal-linear | wrapped-grid:<c>")
-    p_att.add_argument("--columns", type=int)
+    layout = p_att.add_mutually_exclusive_group()
+    layout.add_argument("--geometry", help="vertical-linear | horizontal-linear | wrapped-grid:<c>")
+    layout.add_argument("--columns", type=int, help="wrapped-grid width (instead of --geometry)")
     _add_model_flags(p_att, lists=False)
     p_att.add_argument("--simulate", type=int, default=0, help="cross-check weights with this many sampled sessions")
     p_att.add_argument("--seed", type=int, default=0)

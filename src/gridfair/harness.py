@@ -16,6 +16,7 @@ all of them. Results are buffered and sorted before writing.
 
 from __future__ import annotations
 
+import itertools
 import sys
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -30,7 +31,7 @@ from .browse import (
     continuations,
     position_weights,
 )
-from .core import AlignmentTable, Ranking, RelevanceJudgments
+from .core import AlignmentTable, RelevanceJudgments
 from .errors import ConfigError, MetricError
 from .io import (
     RESULT_FIELDS,
@@ -153,31 +154,19 @@ class SweepConfig:
         not emit duplicate configurations.
         """
         defaults = BrowsingModelSpec()
-        specs = []
-        seen = set()
-        for base in self.bases:
-            for adj in self.adjustments:
-                gammas = self.gammas if adj == ROW_SKIP else [defaults.gamma]
-                betas = self.betas if adj == SLOW_DECAY else [defaults.beta]
-                for alpha in self.alphas:
-                    for gamma in gammas:
-                        for beta in betas:
-                            key = (base, adj, alpha, gamma, beta)
-                            if key in seen:
-                                continue
-                            seen.add(key)
-                            specs.append(
-                                BrowsingModelSpec(
-                                    base=base,
-                                    adjustment=adj,
-                                    alpha=alpha,
-                                    gamma=gamma,
-                                    beta=beta,
-                                    satisfaction=self.satisfaction,
-                                    within_row=self.within_row,
-                                )
-                            )
-        return specs
+        keys = dict.fromkeys(
+            (base, adj, alpha, gamma, beta)
+            for base, adj in itertools.product(self.bases, self.adjustments)
+            for alpha, gamma, beta in itertools.product(
+                self.alphas,
+                self.gammas if adj == ROW_SKIP else [defaults.gamma],
+                self.betas if adj == SLOW_DECAY else [defaults.beta],
+            )
+        )
+        return [
+            BrowsingModelSpec(*key, satisfaction=self.satisfaction, within_row=self.within_row)
+            for key in keys
+        ]
 
     def distance(self) -> DistanceSpec:
         kind = "signed-two-group" if self.delta == "signed" else self.delta
@@ -207,15 +196,6 @@ def resolve_shared_target(target: str, table: AlignmentTable) -> np.ndarray | No
         fixed = parse_fixed_target(path, table.schema)
         return population_estimator(PopulationEstimator("fixed", fixed), table)
     return population_estimator(PopulationEstimator(mode), table)
-
-
-def _shape(plan: RenderPlan, length: int) -> tuple[np.ndarray, np.ndarray]:
-    """Where ``plan`` puts every ranking of ``length`` items, found by
-    rendering a synthetic ranking: the 0-based ranks it displays, in reading
-    order, and the lengths of the rows they fill."""
-    synthetic = Ranking("synthetic", 0, tuple(str(i) for i in range(length)))
-    grid = plan.render(synthetic)
-    return np.array([int(doc) for doc in grid.items], dtype=np.intp), grid.row_lengths
 
 
 def _plan_label(plan: RenderPlan) -> str:
@@ -362,7 +342,7 @@ def _evaluate_run(
         # Plans lay items out by rank, row-major, and truncation keeps a
         # column prefix of every row, so a row of length L shows the first
         # k displayed ranks of the widest row's shape: those below L.
-        displayed, row_lengths = _shape(plan, rows.width)
+        displayed, row_lengths = plan.shape(rows.width)
         shown = np.searchsorted(displayed, rows.lengths)
         padded = np.arange(len(displayed)) >= shown[:, None]
         docs = rows.paths[:, displayed]

@@ -4,13 +4,14 @@ A ranking is laid out row-major: item at 0-based rank i goes to row
 ``i // columns``, column ``i % columns``. Narrowing the display is done
 either by truncating every row at the new width (hiding the cut items) or
 by re-wrapping the full item order at the new width. A :class:`RenderPlan`
-describes one layout; its ``render`` is the one place that chooses between
-wrapping, truncating and re-wrapping.
+describes one layout; its ``shape`` is the one place that chooses between
+wrapping, truncating and re-wrapping, by index arithmetic on ranks alone.
+:class:`GridLayout` is one ranking seen through such a shape.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -25,47 +26,76 @@ GEOMETRY_KINDS = (VERTICAL, HORIZONTAL, WRAPPED_GRID)
 REDUCTIONS = ("truncate", "rewrap")
 
 
-@dataclass(frozen=True)
-class GridLayout:
-    """A ranking rendered into rows, possibly with truncated items.
+def _wrapped(n: int, columns: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ranks ``0..n-1`` in rows of ``columns``, and those rows' lengths."""
+    full, rest = divmod(n, columns)
+    row_lengths = np.full(full + (rest > 0), columns, dtype=np.intp)
+    row_lengths[full:] = rest
+    return np.arange(n), row_lengths
 
-    The reading order (row-major, left to right) of displayed items plus
-    the ``dropped`` set always equals the origin ranking's items.
+
+def _truncated(ranks: np.ndarray, columns: int, new_columns: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ranks of a grid ``columns`` wide whose column is below
+    ``new_columns``, and the lengths of the rows they fill."""
+    kept = ranks[np.arange(len(ranks)) % columns < new_columns]
+    return kept, _wrapped(len(kept), new_columns)[1]
+
+
+@dataclass(frozen=True, eq=False)
+class GridLayout:
+    """A ranking seen through a shape: ``ranks`` are the 0-based ranks of
+    ``origin`` on screen, in reading order, and ``row_lengths`` the rows
+    they fill. Rows are ``columns`` wide, the last possibly shorter.
+
+    The displayed items plus the ``dropped`` set always equal the origin
+    ranking's items.
     """
 
     columns: int
-    rows: tuple[tuple[str, ...], ...]
     origin: Ranking
-    dropped: frozenset[str] = field(default_factory=frozenset)
+    ranks: np.ndarray
+    row_lengths: np.ndarray
+
+    def __post_init__(self):
+        for name in ("ranks", "row_lengths"):
+            value = np.array(getattr(self, name), dtype=np.intp)
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return (self.columns, self.origin, self.ranks.tolist(), self.row_lengths.tolist())
+
+    def __eq__(self, other):  # by value; like the arrays, not hashable
+        return isinstance(other, GridLayout) and self._key() == other._key()
 
     @cached_property
     def items(self) -> tuple[str, ...]:
         """Displayed items in reading order."""
-        return tuple(doc for row in self.rows for doc in row)
+        items = self.origin.items
+        return tuple(items[i] for i in self.ranks.tolist())
+
+    @cached_property
+    def rows(self) -> tuple[tuple[str, ...], ...]:
+        ends = np.cumsum(self.row_lengths).tolist()
+        return tuple(self.items[a:b] for a, b in zip([0, *ends], ends))
+
+    @cached_property
+    def dropped(self) -> frozenset[str]:
+        """The origin's items that are not on screen."""
+        return frozenset(self.origin.items).difference(self.items)
 
     @property
     def n_displayed(self) -> int:
-        return len(self.items)
+        return len(self.ranks)
 
     @property
     def n_rows(self) -> int:
-        return len(self.rows)
-
-    @cached_property
-    def row_lengths(self) -> np.ndarray:
-        out = np.array([len(row) for row in self.rows], dtype=np.int64)
-        out.flags.writeable = False
-        return out
+        return len(self.row_lengths)
 
     @cached_property
     def _positions(self) -> dict[str, tuple[int, int, int]]:
-        table = {}
-        rank = 0
-        for r, row in enumerate(self.rows):
-            for c, doc in enumerate(row):
-                table[doc] = (r, c, rank)
-                rank += 1
-        return table
+        width = self.columns
+        return {doc: (k // width, k % width, k) for k, doc in enumerate(self.items)}
 
     def position(self, doc: str) -> tuple[int, int, int] | None:
         """0-based (row, column, reading rank) of a displayed item.
@@ -79,11 +109,7 @@ def wrap(ranking: Ranking, columns: int) -> GridLayout:
     """Lay the ranking out row-major at the given width; nothing dropped."""
     if columns < 1:
         raise LayoutError(f"invalid geometry: columns={columns}")
-    items = ranking.items
-    rows = tuple(
-        tuple(items[i : i + columns]) for i in range(0, len(items), columns)
-    )
-    return GridLayout(columns=columns, rows=rows, origin=ranking)
+    return GridLayout(columns, ranking, *_wrapped(len(ranking.items), columns))
 
 
 def truncate(grid: GridLayout, new_columns: int) -> GridLayout:
@@ -97,12 +123,7 @@ def truncate(grid: GridLayout, new_columns: int) -> GridLayout:
             f"invalid reduction: cannot truncate {grid.columns} columns "
             f"to {new_columns}"
         )
-    rows = tuple(row[:new_columns] for row in grid.rows)
-    kept = {doc for row in rows for doc in row}
-    dropped = frozenset(set(grid.origin.items) - kept) | grid.dropped
-    return GridLayout(
-        columns=new_columns, rows=rows, origin=grid.origin, dropped=dropped
-    )
+    return GridLayout(new_columns, grid.origin, *_truncated(grid.ranks, grid.columns, new_columns))
 
 
 def rewrap(grid: GridLayout, new_columns: int) -> GridLayout:
@@ -111,7 +132,7 @@ def rewrap(grid: GridLayout, new_columns: int) -> GridLayout:
     Only valid on untruncated grids: once items have been cut, the
     original order can no longer be reconstructed from the display.
     """
-    if grid.dropped:
+    if grid.n_displayed < len(grid.origin.items):
         raise LayoutError("invalid reduction: cannot re-wrap a truncated grid")
     return wrap(grid.origin, new_columns)
 
@@ -152,16 +173,21 @@ class RenderPlan:
                 f"{self.base_columns} columns to {self.columns}"
             )
 
-    def render(self, ranking: Ranking) -> GridLayout:
-        if self.geometry == VERTICAL:
-            return wrap(ranking, 1)
-        if self.geometry == HORIZONTAL:
-            return wrap(ranking, max(1, len(ranking.items)))
+    def _width(self, n: int) -> int:
+        """Displayed width for an ``n``-item ranking."""
+        return max(1, n) if self.geometry == HORIZONTAL else self.columns
+
+    def shape(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Where this plan puts the items of any ``n``-item ranking: the
+        0-based ranks it displays, in reading order, and the lengths of the
+        rows they fill. A re-wrap is a wrap at the new width."""
         if self.reduction == "truncate":
-            return truncate(wrap(ranking, self.base_columns), self.columns)
-        if self.reduction == "rewrap":
-            return rewrap(wrap(ranking, self.base_columns), self.columns)
-        return wrap(ranking, self.columns)
+            return _truncated(np.arange(n), self.base_columns, self.columns)
+        return _wrapped(n, self._width(n))
+
+    def render(self, ranking: Ranking) -> GridLayout:
+        n = len(ranking.items)
+        return GridLayout(self._width(n), ranking, *self.shape(n))
 
 
 def render(ranking: Ranking, plan: RenderPlan) -> GridLayout:

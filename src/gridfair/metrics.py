@@ -236,10 +236,7 @@ def target_exposure(
     grid = _as_renderer(layout)(ideal)
     weights = attention(grid, rel, spec)
     slot_weight = np.zeros(len(ordered))
-    for i, doc in enumerate(ordered):
-        pos = grid.position(doc)
-        if pos is not None:
-            slot_weight[i] = weights[pos[2]]
+    slot_weight[grid.ranks] = weights
     tiers = grade_tiers(np.array([grades[d] for d in ordered]))
     return table.matrix(ordered).T @ tier_means(slot_weight, tiers)
 

@@ -15,11 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .browse import BrowsingModelSpec, attention, continuations, position_weights
+from .browse import BrowsingModelSpec, continuations, position_weights
 from .core import AlignmentTable, Ranking
 from .errors import MetricError
-from .layout import wrap
-from .metrics import DistanceSpec, awrf, group_exposure
+from .layout import VERTICAL, RenderPlan
+from .metrics import DistanceSpec, awrf, system_exposure
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,13 +42,6 @@ def _strongest_group(vec: np.ndarray, names: tuple[str, ...]) -> str:
     lexicographically first name."""
     top = vec.max()
     return min(names[j] for j in range(len(names)) if vec[j] == top)
-
-
-def _linear_awrf(ranking, table, rel, browsing, target, delta):
-    grid = wrap(ranking, 1)
-    weights = attention(grid, rel, browsing)
-    expo = group_exposure(weights, table.matrix(grid.items))
-    return awrf(expo, target, delta, table.schema)
 
 
 def greedy_rerank(
@@ -118,9 +111,11 @@ def greedy_rerank(
         items=tuple(items[i] for i in order),
         scores=tuple(scores[i] for i in order) if ranking.scores is not None else None,
     )
-    delta = DistanceSpec("l1")
-    before = _linear_awrf(ranking, table, rel, spec.browsing, target, delta)
-    after = _linear_awrf(reranked, table, rel, spec.browsing, target, delta)
+    vertical, delta = RenderPlan(VERTICAL, 1), DistanceSpec("l1")
+    before, after = (
+        awrf(system_exposure([r], vertical, spec.browsing, rel, table), target, delta, schema)
+        for r in (ranking, reranked)
+    )
     if after > before + 1e-12:
         return ranking
     return reranked

@@ -99,6 +99,13 @@ class TestAttentionCommand:
     def test_bad_geometry_is_usage_error(self, capsys):
         assert main(["attention", "--length", "4", "--geometry", "spiral"]) == 1
 
+    def test_geometry_and_columns_together_are_a_usage_error(self, capsys):
+        args = ["attention", "--length", "4", "--geometry", "wrapped-grid:3", "--columns", "2"]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not allowed with" in captured.err
+
     def test_horizontal_geometry_is_one_row(self, capsys):
         assert main(["attention", "--length", "3", "--geometry", "horizontal-linear"]) == 0
         rows = [line.split()[1] for line in capsys.readouterr().out.strip().split("\n")[1:]]

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridfair import ConfigError, LayoutError, RenderPlan, render, rewrap, truncate, wrap
-from gridfair.harness import _shape
 from gridfair.layout import HORIZONTAL, VERTICAL, REDUCTIONS, WRAPPED_GRID, parse_geometry
 
-from util import make_ranking, prefix_rows
+from util import make_ranking, prefix_rows, sliced_layout
 
 
 def rows_of(grid):
@@ -124,6 +125,24 @@ class TestPosition:
         assert grid.position("d4") == (2, 0, 4)
 
 
+class TestValue:
+    def test_grids_compare_by_value_and_do_not_hash(self):
+        ranking = make_ranking(6)
+        grid = wrap(ranking, 3)
+        assert grid == wrap(make_ranking(6), 3)
+        assert grid != wrap(ranking, 2)
+        assert grid != truncate(grid, 2)
+        assert grid != "not a grid"
+        with pytest.raises(TypeError):
+            hash(grid)
+
+    def test_shape_arrays_are_read_only(self):
+        grid = truncate(wrap(make_ranking(7), 3), 2)
+        for array in (grid.ranks, grid.row_lengths):
+            with pytest.raises(ValueError):
+                array[0] = 5
+
+
 class TestGeometry:
     def test_vertical_forces_one_column(self):
         with pytest.raises(LayoutError):
@@ -201,14 +220,50 @@ SHAPE_PLANS = [
     "plan", SHAPE_PLANS, ids=lambda p: f"{p.geometry}:{p.columns}:{p.reduction}"
 )
 def test_a_shorter_lists_shape_is_a_prefix_of_a_longer_lists(plan):
-    """The sweep renders one shape per plan, for its longest list, and
+    """The sweep computes one shape per plan, for its longest list, and
     reads a list of length L off its first k displayed ranks: those below
     L. That holds because every plan lays items out by rank, row-major,
     and truncation keeps a column prefix of every row."""
-    shapes = [_shape(plan, length) for length in range(24)]
+    shapes = [plan.shape(length) for length in range(24)]
     for width, (displayed, row_lengths) in enumerate(shapes):
         for length in range(width + 1):
             shown, rows = shapes[length]
             k = int(np.searchsorted(displayed, length))
             assert np.array_equal(shown, displayed[:k])
             assert np.array_equal(rows, prefix_rows(row_lengths, k))
+
+
+@st.composite
+def plans(draw):
+    """Any plan: a list, a wrapped grid, or a grid reduced from a base at
+    least as wide."""
+    kind = draw(st.sampled_from([VERTICAL, HORIZONTAL, WRAPPED_GRID, *REDUCTIONS]))
+    if kind == VERTICAL:
+        return RenderPlan(VERTICAL, 1)
+    if kind == HORIZONTAL:
+        return RenderPlan(HORIZONTAL, 0)
+    base = draw(st.integers(1, 12))
+    if kind == WRAPPED_GRID:
+        return RenderPlan(WRAPPED_GRID, base)
+    return RenderPlan(WRAPPED_GRID, draw(st.integers(1, base)), kind, base)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(0, 40), plan=plans())
+def test_render_and_shape_match_slicing_the_ids(n, plan):
+    ranking = make_ranking(n)
+    grid = plan.render(ranking)
+    columns, rows = sliced_layout(ranking.items, plan)
+    shown = [doc for row in rows for doc in row]
+    assert grid.rows == tuple(rows)
+    assert grid.items == tuple(shown)
+    assert grid.dropped == set(ranking.items) - set(shown)
+    assert grid.row_lengths.tolist() == [len(row) for row in rows]
+    assert grid.columns == columns
+    cells = [(r, c) for r, row in enumerate(rows) for c in range(len(row))]
+    expected = {doc: (*cell, k) for k, (doc, cell) in enumerate(zip(shown, cells))}
+    for doc in (*ranking.items, "nope"):
+        assert grid.position(doc) == expected.get(doc)
+    ranks, row_lengths = plan.shape(n)
+    assert np.array_equal(ranks, grid.ranks)
+    assert np.array_equal(row_lengths, grid.row_lengths)

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 
 from gridfair import AlignmentTable, GroupSchema, Ranking, RelevanceJudgments, attention
+from gridfair.layout import HORIZONTAL, VERTICAL
 
 
 def make_schema(*groups):
@@ -75,3 +76,22 @@ def prefix_rows(row_lengths, k):
     ends = np.minimum(np.cumsum(row_lengths), k)
     cut = np.diff(ends, prepend=0)
     return cut[cut > 0]
+
+
+def sliced_layout(items, plan):
+    """(columns, rows) of ``plan`` over ``items``, by slicing the ids:
+    wrapping at c takes ``items[i:i + c]`` for every c-th i, truncating to
+    c' then takes ``row[:c']`` of every row, and re-wrapping wraps the
+    full order again at c'. Independent oracle for ``RenderPlan.render``."""
+
+    def wrapped(c):
+        return c, [tuple(items[i : i + c]) for i in range(0, len(items), c)]
+
+    if plan.geometry == VERTICAL:
+        return wrapped(1)
+    if plan.geometry == HORIZONTAL:
+        return wrapped(max(1, len(items)))
+    if plan.reduction == "truncate":
+        _, rows = wrapped(plan.base_columns)
+        return plan.columns, [row[: plan.columns] for row in rows]
+    return wrapped(plan.columns)

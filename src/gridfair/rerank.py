@@ -18,8 +18,7 @@ import numpy as np
 from .browse import BrowsingModelSpec, continuations, position_weights
 from .core import AlignmentTable, Ranking
 from .errors import MetricError
-from .layout import VERTICAL, RenderPlan
-from .metrics import DistanceSpec, awrf, system_exposure
+from .metrics import DistanceSpec, awrf, group_exposure
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,13 +36,6 @@ class RerankSpec:
             raise MetricError(f"re-rank pool must be at least 1, got {self.pool}")
 
 
-def _strongest_group(vec: np.ndarray, names: tuple[str, ...]) -> str:
-    """Group carrying the item's largest membership weight; ties go to the
-    lexicographically first name."""
-    top = vec.max()
-    return min(names[j] for j in range(len(names)) if vec[j] == top)
-
-
 def greedy_rerank(
     ranking: Ranking,
     table: AlignmentTable,
@@ -55,7 +47,7 @@ def greedy_rerank(
     The output is always a permutation of the input items with their
     scores carried along. Deterministic: ties in group deficit break to
     the lexicographically first group name, ties in score to the earlier
-    original rank.
+    original rank; a list without scores is taken in its rank order.
     """
     if not ranking.items:
         raise MetricError("cannot re-rank an empty ranking")
@@ -68,54 +60,45 @@ def greedy_rerank(
         raise MetricError(f"re-rank target sums to {total}, expected 1")
     target = target / total
 
-    items = list(ranking.items)
+    items = ranking.items
     n = len(items)
-    # rank order stands in for missing scores
-    scores = (
-        list(ranking.scores)
-        if ranking.scores is not None
-        else [float(n - i) for i in range(n)]
-    )
+    names = schema.names
     grades = rel.grades(ranking.request, items) if rel is not None else np.zeros(n)
     cont = continuations(grades, spec.browsing)
     vectors = table.matrix(items)
-    group_idx = [
-        schema.index(_strongest_group(vec, schema.names)) for vec in vectors
-    ]
+    # The placed items as a vertical list: one item per row.
+    rows = np.ones(n, dtype=np.intp)
+    # Each item's strongest group: its first top-weight column in name order.
+    by_name = np.array(sorted(range(len(names)), key=names.__getitem__))
+    top = vectors == vectors.max(axis=1, keepdims=True)
+    group_idx = by_name[top[:, by_name].argmax(axis=1)].tolist()
 
-    remaining = sorted(range(n), key=lambda i: (-scores[i], i))
+    remaining = list(range(n))
+    if ranking.scores is not None:
+        remaining.sort(key=lambda i: -ranking.scores[i])
     exposure = np.zeros(schema.size)
     order: list[int] = []
-    for _ in range(n):
+    for k in range(1, n + 1):
         candidates = remaining if spec.pool is None else remaining[: spec.pool]
         placed = float(exposure.sum())
         shares = exposure / placed if placed > 0 else np.zeros(schema.size)
-        best_key = None
-        pick = None
-        for i in candidates:
-            g = group_idx[i]
-            deficit = target[g] - shares[g]
-            key = (-deficit, schema.names[g])
-            if best_key is None or key < best_key:
-                best_key, pick = key, i
+        lag = (shares - target).tolist()
+        pick = min(candidates, key=lambda i: (lag[group_idx[i]], names[group_idx[i]]))
         remaining.remove(pick)
         order.append(pick)
-        # The placed items as a vertical list: one item per row. A weight
-        # depends on the items up to its own, so the last is final.
-        weights = position_weights(cont[order], np.ones(len(order), dtype=np.intp), spec.browsing)
+        # A weight depends on the items up to its own, so the last is final.
+        weights = position_weights(cont[order], rows[:k], spec.browsing)
         exposure = exposure + weights[-1] * vectors[pick]
 
-    reranked = Ranking(
+    # Both orders judged as one batch, under the greedy pass's own model.
+    both = np.array([np.arange(n), order])
+    exposures = group_exposure(position_weights(cont[both], rows, spec.browsing), vectors[both])
+    before, after = awrf(exposures, target, DistanceSpec("l1"), schema)
+    if after > before + 1e-12:
+        return ranking
+    return Ranking(
         request=ranking.request,
         sample=ranking.sample,
         items=tuple(items[i] for i in order),
-        scores=tuple(scores[i] for i in order) if ranking.scores is not None else None,
+        scores=None if ranking.scores is None else tuple(ranking.scores[i] for i in order),
     )
-    vertical, delta = RenderPlan(VERTICAL, 1), DistanceSpec("l1")
-    before, after = (
-        awrf(system_exposure([r], vertical, spec.browsing, rel, table), target, delta, schema)
-        for r in (ranking, reranked)
-    )
-    if after > before + 1e-12:
-        return ranking
-    return reranked

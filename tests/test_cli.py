@@ -10,9 +10,10 @@ import gridfair
 
 from gridfair import DistanceSpec, PopulationEstimator, SweepConfig, attention, awrf, group_exposure
 from gridfair.cli import _browsing_spec_from_args, _build_sweep_config, build_parser, main
-from gridfair.io import ResultsRow, parse_run, read_results, write_results
+from gridfair.io import ResultsRow, parse_alignment, parse_run, read_results, write_results
 from gridfair.layout import wrap
 from gridfair.metrics import population_estimator
+from gridfair.rerank import RerankSpec, greedy_rerank
 from gridfair.browse import BrowsingModelSpec
 
 from util import make_table
@@ -114,6 +115,10 @@ class TestAttentionCommand:
     def test_bare_flags_give_the_default_spec(self):
         args = build_parser().parse_args(["attention", "--length", "3"])
         assert _browsing_spec_from_args(args) == BrowsingModelSpec()
+
+    def test_negative_length_is_usage_error(self, capsys):
+        assert main(["attention", "--length", "-1"]) == 1
+        assert "error: length must be non-negative" in capsys.readouterr().err
 
 
 class TestMeasureCommand:
@@ -350,6 +355,52 @@ class TestMeasureCommand:
         config.write_text("seed: 3\n", encoding="utf-8")
         assert main(["measure", "--config", str(config)]) == 1
         assert "unknown config keys: ['seed']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--alpha", "0.5,x", "expected comma-separated numbers, got '0.5,x'"),
+            ("--columns", "5,x", "expected comma-separated integers, got '5,x'"),
+        ],
+    )
+    def test_bad_list_flag_is_usage_error(self, inputs, tmp_path, capsys, flag, value, message):
+        run_a, _, alignment, _ = inputs
+        out = tmp_path / "res.csv"
+        code = main(
+            [
+                "measure", "--run", str(run_a), "--alignment", str(alignment),
+                "--reduction", "truncate", flag, value, "--output", str(out),
+            ]
+        )
+        assert code == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("geometries: [vertical-linear\n", "cannot parse config {config}: "),
+            ("- vertical-linear\n", "config {config} must be a mapping"),
+        ],
+        ids=["yaml-syntax", "yaml-list"],
+    )
+    def test_unreadable_config_is_usage_error(self, inputs, tmp_path, capsys, text, message):
+        config = tmp_path / "sweep.yaml"
+        config.write_text(text, encoding="utf-8")
+        assert main(["measure", "--config", str(config)]) == 1
+        assert f"error: {message.format(config=config)}" in capsys.readouterr().err
+
+    def test_empty_config_is_no_config(self, inputs, tmp_path):
+        run_a, _, alignment, _ = inputs
+        config = tmp_path / "sweep.yaml"
+        config.write_text("", encoding="utf-8")
+        args = [
+            "measure", "--run", str(run_a), "--alignment", str(alignment),
+            "--geometry", "vertical-linear",
+        ]
+        assert main([*args, "--config", str(config), "--output", str(tmp_path / "a.csv")]) == 0
+        assert main([*args, "--output", str(tmp_path / "b.csv")]) == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
     def test_undecodable_config_byte_is_config_error_naming_its_line(
@@ -605,6 +656,34 @@ class TestMeasureCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "text,lineno,message",
+        [
+            ("A 1 2\n", 1, "expected 'group weight', got 'A 1 2'"),
+            ("A 0.5\nZ 0.5\n", 2, "group 'Z' not in the alignment schema"),
+            ("A 0.5\nA 0.5\n", 2, "duplicate group 'A'"),
+            ("A x\n", 1, "weight 'x' is not a number"),
+        ],
+        ids=["three-fields", "unknown-group", "repeated-group", "bad-weight"],
+    )
+    def test_malformed_fixed_target_is_parse_error(
+        self, inputs, tmp_path, capsys, text, lineno, message
+    ):
+        run_a, _, alignment, _ = inputs
+        target = tmp_path / "target.txt"
+        target.write_text(text, encoding="utf-8")
+        out = tmp_path / "res.csv"
+        code = main(
+            [
+                "measure", "--run", str(run_a), "--alignment", str(alignment),
+                "--geometry", "vertical-linear", "--target", f"fixed:{target}",
+                "--output", str(out),
+            ]
+        )
+        assert code == 2
+        assert f"error: {target}:{lineno}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "flag,axis",
         [
             ("--model", "bases"),
@@ -756,6 +835,46 @@ class TestRerankCommand:
         after = score(parse_run(out).rankings["q1"][0])
         assert after < before
 
+    def test_retrieved_target_is_each_lists_own(self, tmp_path):
+        """Every list is re-ranked toward the mean membership of its own
+        documents."""
+        rng = np.random.default_rng(11)
+        lines = []
+        for q in range(2):
+            for s in range(2):
+                docs = rng.choice(12, size=8, replace=False)
+                lines += [f"q{q} {s} d{d} {r} {8 - r}.0 sysA" for r, d in enumerate(docs)]
+        run = tmp_path / "in.run"
+        run.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        alignment = tmp_path / "align.tsv"
+        rows = [f"d{d}\t{'ABC'[d % 3]}\t1.0" for d in range(12) if d % 5]
+        alignment.write_text("\n".join([*rows, "d5\tA\t0.5", "d5\tB\t0.5"]) + "\n", encoding="utf-8")
+        out = tmp_path / "out.run"
+        code = main(
+            [
+                "rerank", "--run", str(run), "--alignment", str(alignment),
+                "--output", str(out), "--target", "retrieved",
+            ]
+        )
+        assert code == 0
+        table = parse_alignment(alignment)
+        given, got = parse_run(run), parse_run(out)
+        assert got.system == "sysA"
+        assert sorted(got.rankings) == sorted(given.rankings)
+        for request, rankings in given.rankings.items():
+            expected = [
+                greedy_rerank(
+                    ranking,
+                    table,
+                    RerankSpec(
+                        population_estimator(PopulationEstimator("retrieved"), table, ranking.items)
+                    ),
+                )
+                for ranking in rankings
+            ]
+            assert list(got.rankings[request]) == expected
+        assert got.rankings != given.rankings
+
     @pytest.mark.parametrize("pool", ["0", "-1"])
     def test_pool_below_one_is_usage_error(self, tmp_path, capsys, pool):
         run = tmp_path / "in.run"
@@ -903,6 +1022,26 @@ class TestCompareCommand:
 
     def test_missing_results_file(self, tmp_path):
         assert main(["compare", "--results", str(tmp_path / "nope.csv")]) == 2
+
+    def test_unknown_grouping_key_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "results.csv"
+        write_results(self.rows_for({("vertical-linear", 1): {"s1": 0.1, "s2": 0.2}}), path)
+        assert main(["compare", "--results", str(path), "--by", "foo"]) == 1
+        assert "error: unknown grouping key 'foo'" in capsys.readouterr().err
+
+    def test_one_configuration_has_nothing_to_compare(self, tmp_path, capsys):
+        out = self.run_compare(
+            tmp_path, capsys, {("vertical-linear", 1): {"s1": 0.1, "s2": 0.2}}
+        )
+        assert out == "nothing to compare (need aggregate rows for >= 2 configurations)\n"
+
+    def test_short_record_is_parse_error_naming_its_line(self, tmp_path, capsys):
+        path = tmp_path / "results.csv"
+        write_results(self.rows_for({("vertical-linear", 1): {"s1": 0.1}}), path)
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write("\na,b,c,d\n")
+        assert main(["compare", "--results", str(path)]) == 2
+        assert f"error: {path}:4: expected 12 fields, got 4" in capsys.readouterr().err
 
     def test_repeated_aggregate_is_metric_error(self, tmp_path, capsys):
         path = tmp_path / "results.csv"

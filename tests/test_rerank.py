@@ -2,19 +2,26 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gridfair import (
     BrowsingModelSpec,
     DistanceSpec,
     MetricError,
     Ranking,
+    RelevanceJudgments,
+    RenderPlan,
     RerankSpec,
     attention,
     awrf,
     greedy_rerank,
     group_exposure,
+    system_exposure,
     wrap,
 )
+from gridfair.browse import ADJUSTMENTS, BASES, WITHIN_ROW_MODES
+from gridfair.layout import VERTICAL
 
 from util import make_table
 
@@ -166,3 +173,91 @@ class TestGreedyRerank:
             assert linear_awrf(out, table, target) <= opt + 1e-9
             checked += 1
         assert checked >= 10
+
+
+def reference_awrf(ranking, table, target, browsing, rel):
+    """AWRF of a ranking rendered as a vertical list, by the per-ranking
+    reference path."""
+    expo = system_exposure([ranking], RenderPlan(VERTICAL, 1), browsing, rel, table)
+    return awrf(expo, target, L1, table.schema)
+
+
+# Group names that sort before, after and around ``unknown`` in code-point order.
+GROUP_NAMES = st.sampled_from([["g0", "g1", "g2"], ["v", "x", "z"], ["a", "w", "zz"]])
+
+
+@st.composite
+def rerank_cases(draw):
+    """A list of 1-12 items over 1-3 groups, with mixed, tied and unknown
+    memberships; present, tied or absent scores; optional judgments; any
+    pool; and any browsing model."""
+    n = draw(st.integers(1, 12))
+    names = draw(GROUP_NAMES)[: draw(st.integers(1, 3))]
+    size = len(names) + 1
+    docs = [f"d{i}" for i in range(n)]
+    memberships = {}
+    for doc in docs:
+        kind = draw(st.sampled_from(["group", "unknown", "unlabeled", "tied", "mixed"]))
+        if kind == "group":
+            memberships[doc] = draw(st.sampled_from(names))
+        elif kind == "unknown":
+            memberships[doc] = "unknown"
+        elif kind == "tied":
+            pair = draw(st.lists(st.integers(0, size - 1), min_size=2, max_size=2, unique=True))
+            memberships[doc] = np.where(np.isin(np.arange(size), pair), 0.5, 0.0)
+        elif kind == "mixed":
+            raw = np.array(draw(st.lists(st.integers(0, 4), min_size=size, max_size=size)), float)
+            memberships[doc] = raw / raw.sum() if raw.sum() else np.full(size, 1.0 / size)
+    table = make_table(memberships, groups=names)
+    scores = draw(
+        st.one_of(
+            st.none(),
+            st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n),
+            st.lists(st.floats(-5, 5), min_size=n, max_size=n),
+        )
+    )
+    items = tuple(draw(st.permutations(docs)))
+    ranking = Ranking("q1", 0, items, None if scores is None else tuple(scores))
+    rel = None
+    if draw(st.booleans()):
+        grades = draw(st.dictionaries(st.sampled_from(docs), st.integers(0, 3)))
+        rel = RelevanceJudgments({("q1", doc): float(g) for doc, g in grades.items()})
+    raw = np.array(draw(st.lists(st.integers(0, 4), min_size=size, max_size=size)), float)
+    target = raw / raw.sum() if raw.sum() else np.full(size, 1.0 / size)
+    browsing = BrowsingModelSpec(
+        base=draw(st.sampled_from(BASES)),
+        adjustment=draw(st.sampled_from(ADJUSTMENTS)),
+        alpha=draw(st.floats(0.01, 0.99)),
+        gamma=draw(st.floats(0.0, 1.0)),
+        beta=draw(st.floats(1.0, 5.0)),
+        within_row=draw(st.sampled_from(WITHIN_ROW_MODES)),
+    )
+    pool = draw(st.one_of(st.none(), st.integers(1, n + 1)))
+    return ranking, table, RerankSpec(target, browsing, pool), rel
+
+
+# The greedy order beats this input under plain geometric decay but not
+# under row-skip, so the guard must judge both under the list's own model.
+ROW_SKIP_KEEPS_INPUT = (
+    Ranking("q1", 0, ("d0", "d1", "d2")),
+    make_table({"d0": "B", "d1": "B", "d2": "A"}),
+    RerankSpec(np.array([0.3, 0.7, 0.0]), BrowsingModelSpec(adjustment="row-skip", gamma=0.9)),
+    None,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rerank_cases())
+@example(ROW_SKIP_KEEPS_INPUT)
+def test_never_worse_than_input_under_every_model(case):
+    ranking, table, spec, rel = case
+    out = greedy_rerank(ranking, table, spec, rel)
+    assert sorted(out.items) == sorted(ranking.items)
+    if ranking.scores is None:
+        assert out.scores is None
+    else:
+        by_doc = dict(zip(ranking.items, ranking.scores))
+        assert out.scores == tuple(by_doc[d] for d in out.items)
+    before = reference_awrf(ranking, table, spec.target, spec.browsing, rel)
+    after = reference_awrf(out, table, spec.target, spec.browsing, rel)
+    assert after <= before + 1e-12

@@ -277,13 +277,6 @@ class _RunRows:
             for qs in [np.flatnonzero(self.counts == c)]
         ]
 
-    def unions(self) -> list[np.ndarray]:
-        """Each request's union of sampled documents, as sorted ids."""
-        return [
-            self.docs[self.doc_of[a:b]]
-            for a, b in zip(self.union_bounds[:-1].tolist(), self.union_bounds[1:].tolist())
-        ]
-
     def request_means(self, scores: np.ndarray) -> np.ndarray:
         """Mean of each request's per-ranking scores."""
         out = np.empty(len(self.counts))
@@ -327,8 +320,10 @@ def _evaluate_run(
     n = rows.n_rankings
     sizes = (len(plans), len(specs), stop - first)
     if shared_target is None:
-        retrieved = PopulationEstimator("retrieved")
-        targets = [population_estimator(retrieved, table, union) for union in rows.unions()]
+        # The retrieved target: each request's union of sampled documents,
+        # averaged in the sorted order population_estimator averages in.
+        bounds = rows.union_bounds.tolist()
+        targets = [rows.members[a:b].mean(axis=0) for a, b in zip(bounds[:-1], bounds[1:])]
         target = np.array(targets)[rows.request_of]
     else:
         target = shared_target
@@ -420,6 +415,11 @@ def measure(config: SweepConfig) -> list[ResultsRow]:
         if run.system in paths:
             raise ConfigError(
                 f"system tag {run.system!r} is in two run files: {paths[run.system]} and {path}"
+            )
+        if config.per_request and "ALL" in run.requests():
+            raise ConfigError(
+                f"system {run.system!r} in {path} has a request named 'ALL', "
+                "the id per-request output reserves for the aggregate rows"
             )
         paths[run.system] = path
     table = parse_alignment(config.alignment)

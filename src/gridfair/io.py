@@ -218,6 +218,45 @@ def _data_lines(path, raw: bytes) -> Iterator[tuple[int, str]]:
         yield lineno, line
 
 
+def _records(path, raw: bytes, width: int, sep=None) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) of each record, split as ``str.split(sep)``
+    splits it; a record without ``width`` fields is a parse error. Fields
+    split on a separator are stripped."""
+    for lineno, line in _data_lines(path, raw):
+        fields = line.split(sep)
+        if len(fields) != width:
+            kind = "" if sep is None else "tab-separated "
+            raise ParseError(path, lineno, f"expected {width} {kind}columns, got {len(fields)}")
+        yield lineno, fields if sep is None else [field.strip() for field in fields]
+
+
+def _number(path, lineno: int, text: str, name: str, kind=float, bounded: str = ""):
+    """``text`` read by Python's ``int`` or ``float`` (``kind``), a parse
+    error naming it as ``name`` when it is not one. With ``bounded``, its
+    name in these errors, the value must also be finite and not negative."""
+    try:
+        value = kind(text)
+    except ValueError:
+        expected = "an integer" if kind is int else "a number"
+        raise ParseError(path, lineno, f"{name} {text!r} is not {expected}") from None
+    # An int is always finite, and math.isfinite overflows on a huge one.
+    if bounded and kind is float and not math.isfinite(value):
+        raise ParseError(path, lineno, f"non-finite {bounded} {text!r}")
+    if bounded and value < 0:
+        raise ParseError(path, lineno, f"negative {bounded} {value}")
+    return value
+
+
+def _read(path, columns, lines):
+    """The file read by the columnar reader ``columns``, or, where that
+    declines it, by the line-by-line reader ``lines``."""
+    raw = Path(path).read_bytes()
+    try:
+        return columns(raw)
+    except _Declined:
+        return lines(path, raw)
+
+
 # The non-ASCII characters str.split() and str.strip() read as whitespace.
 _UNICODE_SPACE = re.compile("[\x85\xa0\u1680\u2000-\u200a\u2028\u2029\u202f\u205f\u3000]")
 _HASH = ord("#")
@@ -397,11 +436,7 @@ def parse_run(path) -> RunFile:
     file is authoritative, scores are carried as-is. The system name is
     the first record's tag.
     """
-    raw = Path(path).read_bytes()
-    try:
-        return _run_columns(raw)
-    except _Declined:
-        return _parse_run_lines(path, raw)
+    return _read(path, _run_columns, _parse_run_lines)
 
 
 def _run_columns(raw: bytes) -> RunFile:
@@ -450,29 +485,13 @@ def _parse_run_lines(path, raw: bytes) -> RunFile:
     seen_docs: set[tuple[str, int, str]] = set()
     seen_ranks: set[tuple[str, int, int]] = set()
     system = None
-    for lineno, line in _data_lines(path, raw):
-        parts = line.split()
-        if len(parts) != 6:
-            raise ParseError(path, lineno, f"expected 6 columns, got {len(parts)}")
-        qid, it, docid, rank_s, score_s, tag = parts
+    for lineno, (qid, it, docid, rank, score, tag) in _records(path, raw, 6):
         _check_id(path, lineno, docid)
         if it == "Q0":
-            sample = 0
-        else:
-            try:
-                sample = int(it)
-            except ValueError:
-                raise ParseError(path, lineno, f"sample index {it!r} is not an integer")
-            if sample < 0:
-                raise ParseError(path, lineno, f"negative sample index {sample}")
-        try:
-            rank = int(rank_s)
-        except ValueError:
-            raise ParseError(path, lineno, f"rank {rank_s!r} is not an integer")
-        try:
-            score = float(score_s)
-        except ValueError:
-            raise ParseError(path, lineno, f"score {score_s!r} is not a number")
+            it = "0"
+        sample = _number(path, lineno, it, "sample index", int, "sample index")
+        rank = _number(path, lineno, rank, "rank", int)
+        score = _number(path, lineno, score, "score")
         if (qid, sample, docid) in seen_docs:
             raise ParseError(
                 path, lineno, f"duplicate document {docid!r} in request {qid!r} sample {sample}"
@@ -539,11 +558,7 @@ def parse_alignment(path) -> AlignmentTable:
     schema covers every observed group name plus ``unknown``, sorted with
     unknown last. Documents keep the order they are first seen in.
     """
-    raw = Path(path).read_bytes()
-    try:
-        return _alignment_columns(raw)
-    except _Declined:
-        return _parse_alignment_lines(path, raw)
+    return _read(path, _alignment_columns, _parse_alignment_lines)
 
 
 def _alignment_columns(raw: bytes) -> AlignmentTable:
@@ -599,22 +614,11 @@ def _parse_alignment_lines(path, raw: bytes) -> AlignmentTable:
     acc_by_doc: dict[str, dict[str, float]] = {}
     first_line: dict[str, int] = {}
     groups: set[str] = set()
-    for lineno, line in _data_lines(path, raw):
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise ParseError(path, lineno, f"expected 3 tab-separated columns, got {len(parts)}")
-        docid, group, weight_s = (p.strip() for p in parts)
+    for lineno, (docid, group, weight) in _records(path, raw, 3, "\t"):
         if not docid or not group:
             raise ParseError(path, lineno, "empty document or group name")
         _check_id(path, lineno, docid)
-        try:
-            weight = float(weight_s)
-        except ValueError:
-            raise ParseError(path, lineno, f"weight {weight_s!r} is not a number")
-        if not math.isfinite(weight):
-            raise ParseError(path, lineno, f"non-finite membership weight {weight_s!r}")
-        if weight < 0:
-            raise ParseError(path, lineno, f"negative membership weight {weight}")
+        weight = _number(path, lineno, weight, "weight", bounded="membership weight")
         groups.add(group)
         acc = acc_by_doc.setdefault(docid, {})
         acc[group] = acc.get(group, 0.0) + weight
@@ -637,11 +641,7 @@ def parse_qrels(path) -> RelevanceJudgments:
 
     The second column is ignored. Absent pairs read as grade 0.
     """
-    raw = Path(path).read_bytes()
-    try:
-        return _qrels_columns(raw)
-    except _Declined:
-        return _parse_qrels_lines(path, raw)
+    return _read(path, _qrels_columns, _parse_qrels_lines)
 
 
 def _qrels_columns(raw: bytes) -> RelevanceJudgments:
@@ -662,20 +662,9 @@ def _qrels_columns(raw: bytes) -> RelevanceJudgments:
 def _parse_qrels_lines(path, raw: bytes) -> RelevanceJudgments:
     """Line-by-line :func:`parse_qrels`: names the first bad line."""
     grades: dict[tuple[str, str], float] = {}
-    for lineno, line in _data_lines(path, raw):
-        parts = line.split()
-        if len(parts) != 4:
-            raise ParseError(path, lineno, f"expected 4 columns, got {len(parts)}")
-        qid, _, docid, grade_s = parts
+    for lineno, (qid, _, docid, grade) in _records(path, raw, 4):
         _check_id(path, lineno, docid)
-        try:
-            grade = float(grade_s)
-        except ValueError:
-            raise ParseError(path, lineno, f"grade {grade_s!r} is not a number")
-        if not math.isfinite(grade):
-            raise ParseError(path, lineno, f"non-finite relevance grade {grade_s!r}")
-        if grade < 0:
-            raise ParseError(path, lineno, f"negative relevance grade {grade}")
+        grade = _number(path, lineno, grade, "grade", bounded="relevance grade")
         if (qid, docid) in grades:
             raise ParseError(path, lineno, f"duplicate judgment for {qid!r}/{docid!r}")
         grades[(qid, docid)] = grade
@@ -691,19 +680,12 @@ def parse_fixed_target(path, schema: GroupSchema) -> np.ndarray:
         parts = line.split()
         if len(parts) != 2:
             raise ParseError(path, lineno, f"expected 'group weight', got {line.strip()!r}")
-        name, weight_s = parts
+        name, weight = parts
         if name not in schema.names:
             raise ParseError(path, lineno, f"group {name!r} not in the alignment schema")
         if name in seen:
             raise ParseError(path, lineno, f"duplicate group {name!r}")
-        try:
-            weight = float(weight_s)
-        except ValueError:
-            raise ParseError(path, lineno, f"weight {weight_s!r} is not a number")
-        if not math.isfinite(weight):
-            raise ParseError(path, lineno, f"non-finite target weight {weight_s!r}")
-        if weight < 0:
-            raise ParseError(path, lineno, f"negative target weight {weight}")
+        weight = _number(path, lineno, weight, "weight", bounded="target weight")
         values[schema.index(name)] = weight
         seen.add(name)
     return values

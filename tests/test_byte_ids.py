@@ -125,7 +125,9 @@ def test_sweep_joins_match_a_dict(tmp_path, lists, labels, judged):
     rows = _RunRows(run, 0, len(run.requests()), table, rel, False)
     by_request = [{d for i, items in enumerate(lists) if i % 2 == q for d in items} for q in (0, 1)]
     unions = [sorted(docs) for docs in by_request if docs]
-    assert [[doc.decode() for doc in union.tolist()] for union in rows.unions()] == unions
+    bounds = rows.union_bounds.tolist()
+    got = [rows.docs[rows.doc_of[a:b]] for a, b in zip(bounds[:-1], bounds[1:])]
+    assert [[doc.decode() for doc in union.tolist()] for union in got] == unions
     flat = [(q, doc) for q, union in enumerate(unions) for doc in union]
     unknown = table.schema.unknown_vector()
     assert np.array_equal(rows.members, np.array([vectors.get(d, unknown) for _, d in flat]))

@@ -310,6 +310,43 @@ class TestMeasureCommand:
         assert f"system tag 'sysA' is in two run files: {run_a} and {second}" in err
         assert not out.exists()
 
+    @pytest.fixture
+    def all_run(self, tmp_path):
+        """A run whose second request is named like the aggregate rows."""
+        path = tmp_path / "all.run"
+        path.write_text(
+            "q1 0 d0 0 2 sysX\nq1 0 d1 1 1 sysX\nALL 0 d1 0 2 sysX\nALL 0 d2 1 1 sysX\n",
+            encoding="utf-8",
+        )
+        return path
+
+    def test_request_named_all_is_config_error_per_request(
+        self, inputs, all_run, tmp_path, capsys
+    ):
+        _, _, alignment, _ = inputs
+        out = tmp_path / "res.csv"
+        args = [
+            "measure", "--run", str(all_run), "--alignment", str(alignment),
+            "--geometry", "vertical-linear", "--output", str(out), "--per-request",
+        ]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert f"system 'sysX' in {all_run} has a request named 'ALL'" in err
+        assert not out.exists()
+
+    def test_request_named_all_is_averaged_without_per_request(
+        self, inputs, all_run, tmp_path
+    ):
+        _, _, alignment, _ = inputs
+        out = tmp_path / "res.csv"
+        args = [
+            "measure", "--run", str(all_run), "--alignment", str(alignment),
+            "--geometry", "vertical-linear", "--output", str(out),
+        ]
+        assert main(args) == 0
+        rows = read_results(out)
+        assert [(row.system, row.request) for row in rows] == [("sysX", "ALL")]
+
     def test_no_layouts_is_config_error(self, inputs, tmp_path):
         run_a, _, alignment, _ = inputs
         code = main(

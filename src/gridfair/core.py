@@ -314,11 +314,12 @@ class RelevanceJudgments:
     def _init(self, requests, docs, request_codes, doc_codes, grades):
         docs = encode_ids(docs)
         grades = np.asarray(grades, dtype=np.float64)
-        negative = np.flatnonzero(grades < 0)
-        if negative.size:
-            i = negative[0]
+        invalid = np.flatnonzero(~np.isfinite(grades) | (grades < 0))
+        if invalid.size:
+            i = invalid[0]
             key = (requests[request_codes[i]], docs[doc_codes[i]].decode("utf-8"))
-            raise ShapeError(f"negative relevance grade for {key}: {float(grades[i])}")
+            kind = "non-finite" if not np.isfinite(grades[i]) else "negative"
+            raise ShapeError(f"{kind} relevance grade for {key}: {float(grades[i])}")
         keys = np.asarray(request_codes, dtype=np.int64) * len(docs) + doc_codes
         order = np.argsort(keys, kind="stable")
         self._requests = tuple(requests)
@@ -326,9 +327,8 @@ class RelevanceJudgments:
         self._request_index = dict(zip(self._requests, range(len(self._requests))))
         self._keys = keys[order]
         self._grades = grades[order]
-        # fmax skips NaN, as a scan keeping the largest grade above 0 does.
         self._max = np.zeros(len(requests))
-        np.fmax.at(self._max, np.asarray(request_codes)[order], self._grades)
+        np.maximum.at(self._max, np.asarray(request_codes)[order], self._grades)
 
     def __eq__(self, other):
         if not isinstance(other, RelevanceJudgments):

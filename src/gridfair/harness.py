@@ -53,11 +53,10 @@ from .metrics import (
     awrf_system,
     drop_unknown,
     eel,
-    grade_tiers,
     group_exposure,
+    ideal_exposure,
     population_estimator,
     target_exposure,  # unused by the sweep; perfbench/tracer.py wraps this name
-    tier_means,
 )
 
 METRICS = ("awrf", "eel")
@@ -221,8 +220,10 @@ class _RunRows:
     them, numbered in request-major and sample order; for EEL, so is each
     request's ideal ordering (best grade first, ties by document), after
     the rankings. Rows are padded to the longest by repeating their last
-    position; ``lengths`` holds each row's own length. All of it is read
-    from the run's columns: no :class:`Ranking` is built.
+    position; ``lengths`` holds each row's own length. For EEL,
+    ``ideal_grades`` holds each ideal row's grades, best first, with
+    ``-inf`` in its padding: the rows :func:`ideal_exposure` takes. All of
+    it is read from the run's columns: no :class:`Ranking` is built.
     """
 
     def __init__(self, run, first, stop, table, rel, with_ideals):
@@ -255,13 +256,8 @@ class _RunRows:
         # The rankings' positions, then the ideal orderings', one row each.
         positions = slots
         starts = bounds[:-1] - bounds[0]
-        self.tiers = []
         if with_ideals:
             best_first = np.lexsort((-self.grades, union_request))
-            self.tiers = [
-                grade_tiers(self.grades[best_first[a:b]])
-                for a, b in zip(self.union_bounds[:-1].tolist(), self.union_bounds[1:].tolist())
-            ]
             positions = np.concatenate((slots, best_first))
             starts = np.concatenate((starts, len(slots) + self.union_bounds[:-1]))
             lengths = np.concatenate((lengths, np.diff(self.union_bounds)))
@@ -269,6 +265,9 @@ class _RunRows:
         self.width = int(lengths.max())
         span = np.minimum(np.arange(self.width), lengths[:, None] - 1)
         self.paths = positions[starts[:, None] + span]
+        if with_ideals:
+            real = np.arange(self.width) < lengths[self.n_rankings :, None]
+            self.ideal_grades = np.where(real, self.grades[self.paths[self.n_rankings :]], -np.inf)
         # The rankings of the requests with c samples, as (requests, c) indices.
         list_starts = np.cumsum(self.counts) - self.counts
         self.sample_groups = [
@@ -330,8 +329,8 @@ def _evaluate_run(
     awrf_values = np.empty(sizes)
     system = np.empty((*sizes, table.schema.size))
     # The weights of the ideals' slots by (plan, spec); hidden slots stay
-    # zero, and padding lands past each ideal's own length.
-    ideal_slots = np.zeros((len(rows.lengths) - n, *sizes[:2], rows.width))
+    # zero, and padding, of grade -inf, adds nothing whatever it weighs.
+    ideal_slots = np.zeros((*sizes[:2], len(rows.lengths) - n, rows.width))
     exposures = np.empty((n, table.schema.size))
     for pi, plan in enumerate(plans):
         # Plans lay items out by rank, row-major, and truncation keeps a
@@ -358,7 +357,7 @@ def _evaluate_run(
             weights = position_weights(cont, row_lengths, spec)
             for idx, k, mats in groups:
                 exposures[idx] = group_exposure(weights[idx, :k], mats)
-            ideal_slots[:, pi, si, displayed] = weights[n:]
+            ideal_slots[pi, si][:, displayed] = weights[n:]
             if "awrf" in metrics:
                 try:
                     scores = awrf(exposures, target, delta, table.schema, exclude_unknown)
@@ -373,10 +372,7 @@ def _evaluate_run(
     if "awrf" in metrics:
         out["awrf"] = awrf_values
     if "eel" in metrics:
-        ideal = np.empty_like(system)
-        for q, (slots, size) in enumerate(zip(ideal_slots, rows.lengths[n:].tolist())):
-            per_doc = tier_means(slots[..., :size], rows.tiers[q])
-            ideal[:, :, q] = group_exposure(per_doc, rows.members[rows.paths[n + q, :size]])
+        ideal = ideal_exposure(ideal_slots, rows.ideal_grades, rows.members[rows.paths[n:]])
         if exclude_unknown:
             system = drop_unknown(system, table.schema)
             ideal = drop_unknown(ideal, table.schema)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass, fields
@@ -249,12 +250,17 @@ def _number(path, lineno: int, text: str, name: str, kind=float, bounded: str = 
 
 def _read(path, columns, lines):
     """The file read by the columnar reader ``columns``, or, where that
-    declines it, by the line-by-line reader ``lines``."""
-    raw = Path(path).read_bytes()
+    declines it, by the line-by-line reader ``lines``. The file is read
+    once, into the columnar reader's buffer; the line reader gets a copy
+    of its bytes only when needed."""
+    buf = _read_padded(path)
     try:
-        return columns(raw)
+        return columns(buf)
     except _Declined:
-        return lines(path, raw)
+        pass
+    raw = buf[: len(buf) - 1 - _PAD].tobytes()
+    del buf
+    return lines(path, raw)
 
 
 # The non-ASCII characters str.split() and str.strip() read as whitespace.
@@ -272,14 +278,38 @@ _PAD = 4096
 _CHUNK = 1 << 16
 
 
-def _buffer(raw: bytes) -> np.ndarray:
+def _read_padded(path) -> np.ndarray:
+    """The file's bytes, a final line break and ``_PAD`` NUL bytes, read
+    straight into one array."""
+    with open(path, "rb") as file:
+        size = os.fstat(file.fileno()).st_size
+        buf = np.zeros(size + 1 + _PAD, dtype=np.uint8)
+        size = file.readinto(memoryview(buf)[:size])
+        rest = file.read()  # from a file without a size, such as a pipe
+    if rest:
+        return _padded(buf[:size].tobytes() + rest)
+    buf[size] = ord("\n")
+    return buf[: size + 1 + _PAD]
+
+
+def _padded(raw: bytes) -> np.ndarray:
+    """``raw``, a line break and ``_PAD`` NUL bytes, as one array."""
+    buf = np.zeros(len(raw) + 1 + _PAD, dtype=np.uint8)
+    buf[: len(raw)] = np.frombuffer(raw, dtype=np.uint8)
+    buf[len(raw)] = ord("\n")
+    return buf
+
+
+def _buffer(raw: bytes | np.ndarray) -> np.ndarray:
     """The file's bytes, a final line break and ``_PAD`` NUL bytes, when
     the columnar reader splits them into fields as ``str.split()`` would
-    split the decoded lines. Control bytes other than tab, CR and LF are
+    split the decoded lines; ``raw`` is the bytes, or that array as
+    :func:`_read` reads it. Control bytes other than tab, CR and LF are
     declined: ``str.split()`` reads some as whitespace, and a NUL would
     vanish from the end of a fixed-width byte string. The splitters read
     the padding as whitespace past the last line."""
-    data = np.frombuffer(raw, dtype=np.uint8)
+    buf = _padded(raw) if isinstance(raw, bytes) else raw
+    data = buf[: len(buf) - 1 - _PAD]
     if len(data) >= 2**31 - 1 - _PAD:
         raise _Declined  # offsets are int32
     control = data[data < _SPACE]
@@ -287,14 +317,11 @@ def _buffer(raw: bytes) -> np.ndarray:
         raise _Declined
     if (data >= 0x80).any():
         try:
-            text = raw.decode("utf-8")
+            text = str(data, "utf-8")
         except UnicodeDecodeError:
             raise _Declined from None
         if _UNICODE_SPACE.search(text):
             raise _Declined
-    buf = np.zeros(len(data) + 1 + _PAD, dtype=np.uint8)
-    buf[: len(data)] = data
-    buf[len(data)] = ord("\n")
     return buf
 
 
@@ -439,12 +466,12 @@ def parse_run(path) -> RunFile:
     return _read(path, _run_columns, _parse_run_lines)
 
 
-def _run_columns(raw: bytes) -> RunFile:
+def _run_columns(raw: bytes | np.ndarray) -> RunFile:
     buf = _buffer(raw)
     starts, ends = _split_records(buf, 6)
     if not len(starts):
         raise _Declined
-    system = raw[starts[0, 5] : ends[0, 5]].decode("utf-8")
+    system = buf[starts[0, 5] : ends[0, 5]].tobytes().decode("utf-8")
     request, it, doc, rank, score = (_column(buf, starts[:, j], ends[:, j]) for j in range(5))
     del buf, starts, ends
     requests, _, request = _intern(request)
@@ -561,7 +588,7 @@ def parse_alignment(path) -> AlignmentTable:
     return _read(path, _alignment_columns, _parse_alignment_lines)
 
 
-def _alignment_columns(raw: bytes) -> AlignmentTable:
+def _alignment_columns(raw: bytes | np.ndarray) -> AlignmentTable:
     buf = _buffer(raw)
     starts, ends = _split_tab_records(buf, 3)
     if ((ends[:, :2] - starts[:, :2]) == 0).any():
@@ -644,7 +671,7 @@ def parse_qrels(path) -> RelevanceJudgments:
     return _read(path, _qrels_columns, _parse_qrels_lines)
 
 
-def _qrels_columns(raw: bytes) -> RelevanceJudgments:
+def _qrels_columns(raw: bytes | np.ndarray) -> RelevanceJudgments:
     buf = _buffer(raw)
     starts, ends = _split_records(buf, 4)
     request, doc, grade = (_column(buf, starts[:, j], ends[:, j]) for j in (0, 2, 3))

@@ -220,42 +220,43 @@ def target_exposure(
     spec: BrowsingModelSpec,
     table: AlignmentTable,
 ) -> np.ndarray:
-    """Group exposure delivered by an ideal policy over the given documents.
-
-    The documents are ordered best grade first and rendered through the
-    same layout as the system output (``layout`` may be a plan or a
-    rendering callable). Documents with equal grades share their
-    positions' attention equally: each gets the mean weight over its
-    tier's slots, hidden slots counting as zero.
-    """
+    """Group exposure delivered by an ideal policy over the given documents:
+    ordered best grade first and rendered through the same layout as the
+    system output (``layout`` may be a plan or a rendering callable), with
+    each grade tier's attention shared by :func:`ideal_exposure`."""
     if not docs:
         raise MetricError("target exposure needs at least one document")
     grades = dict(zip(docs, rel.grades(request, docs).tolist()))
     ordered = sorted(docs, key=lambda d: (-grades[d], d))
-    ideal = Ranking(request=request, sample=0, items=tuple(ordered))
-    grid = _as_renderer(layout)(ideal)
-    weights = attention(grid, rel, spec)
+    grid = _as_renderer(layout)(Ranking(request, 0, tuple(ordered)))
     slot_weight = np.zeros(len(ordered))
-    slot_weight[grid.ranks] = weights
-    tiers = grade_tiers(np.array([grades[d] for d in ordered]))
-    return table.matrix(ordered).T @ tier_means(slot_weight, tiers)
+    slot_weight[grid.ranks] = attention(grid, rel, spec)
+    return ideal_exposure(slot_weight, [grades[d] for d in ordered], table.matrix(ordered))
 
 
-def grade_tiers(grades: np.ndarray) -> list[tuple[int, int]]:
-    """(start, end) of each run of equal grades in a best-first order."""
-    cuts = np.flatnonzero(grades[1:] != grades[:-1]) + 1
-    edges = [0, *cuts.tolist(), len(grades)]
-    return list(zip(edges[:-1], edges[1:]))
-
-
-def tier_means(slot_weight: np.ndarray, tiers: Sequence[tuple[int, int]]) -> np.ndarray:
-    """Per-document ideal attention: every document of a grade tier gets
-    the mean weight of the tier's slots (hidden slots weigh zero). Slot
-    weights may be a batch ``(..., n)`` over one tiering."""
-    per_doc = np.empty(np.shape(slot_weight))
-    for start, end in tiers:
-        per_doc[..., start:end] = slot_weight[..., start:end].mean(axis=-1, keepdims=True)
-    return per_doc
+def ideal_exposure(slot_weight: np.ndarray, grades: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """Group exposure of ideal policies that share each run of equal
+    ``grades`` (rows ``(..., n)``, best first) among its documents: each
+    gets the mean ``slot_weight`` of the run's slots (hidden slots weigh
+    zero; leading batch axes allowed), times its ``members`` row ``(...,
+    n, groups)``. Rows of unequal length are padded with grade ``-inf``,
+    which adds nothing: a padded row's exposure is its own, bit for bit."""
+    grades = np.asarray(grades, dtype=np.float64)
+    weight = np.ascontiguousarray(slot_weight, dtype=np.float64)
+    lead = weight.shape[: weight.ndim - grades.ndim]
+    # A tier is a run of equal grades within one row of the flattened rows.
+    flat, n = grades.ravel(), grades.shape[-1]
+    starts = np.flatnonzero((np.arange(flat.size) % n == 0) | (flat != np.roll(flat, 1)))
+    sizes = np.diff(starts, append=flat.size)
+    means = np.add.reduceat(weight.reshape(*lead, flat.size), starts, axis=-1) / sizes
+    mass = np.add.reduceat(np.reshape(members, (flat.size, -1)), starts, axis=0)
+    # Each row adds up its real tiers, not the padding's, so a padded row
+    # adds the same numbers in the same order as the row alone.
+    real = flat[starts] != -np.inf
+    rows, first = np.unique(starts[real] // n, return_index=True)
+    out = np.zeros((*lead, flat.size // n, mass.shape[-1]))
+    out[..., rows, :] = np.add.reduceat(means[..., real, None] * mass[real], first, axis=-2)
+    return out.reshape(*weight.shape[:-1], -1)
 
 
 def system_exposure(

@@ -182,6 +182,14 @@ class TestRelevanceJudgments:
         with pytest.raises(ShapeError):
             RelevanceJudgments({("q1", "d1"): -0.5})
 
+    @pytest.mark.parametrize("grade", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_grade_rejected_naming_its_pair(self, grade):
+        grades = {("q1", "a"): 1.0, ("q1", "b"): grade}
+        with pytest.raises(ShapeError, match=r"non-finite relevance grade for \('q1', 'b'\)"):
+            RelevanceJudgments(grades)
+        with pytest.raises(ShapeError, match="non-finite"):
+            RelevanceJudgments.from_columns(["q1"], ["a", "b"], [0, 0], [0, 1], [1.0, grade])
+
     def test_grades_vector(self):
         rel = RelevanceJudgments({("q1", "d1"): 2.0, ("q1", "d3"): 1.0})
         assert rel.grades("q1", ["d1", "d2", "d3"]).tolist() == [2.0, 0.0, 1.0]

@@ -1,9 +1,12 @@
 import dataclasses
+import os
+import threading
 
 import numpy as np
 import pytest
 
 from gridfair import MetricError, ParseError, Ranking, ResultsRow, parse_alignment, parse_qrels, parse_run
+from gridfair import io as gio
 from gridfair.io import RunFile, read_results, write_results, write_run
 
 
@@ -259,3 +262,45 @@ class TestResults:
         path.write_text("not,a,results,file\n")
         with pytest.raises(ParseError):
             read_results(path)
+
+
+# The large files hold more than a pipe's buffer, so the writer blocks
+# until the reader drains it; the small ones hold a control byte, which
+# only the line reader takes.
+PIPED = [
+    (parse_run, "".join(f"q{i} 0 d{i} 0 1.5 sys\n" for i in range(5000)), False),
+    (parse_run, "q1 0 d1 0 1.5 sys\nq1 0\x0bd2 1 0.5 sys\n", True),
+    (parse_qrels, "".join(f"q{i} 0 d{i} 2\n" for i in range(5000)), False),
+    (parse_qrels, "q1 0 d1 2\nq1\x0c0 d2 1\n", True),
+    (parse_alignment, "".join(f"d{i}\tA\t0.25\nd{i}\tB\t0.75\n" for i in range(5000)), False),
+    (parse_alignment, "d1\tA\t1\nd2\x0b\tB\t1\n", True),
+]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize(
+    "parse, text, declined",
+    PIPED,
+    ids=["run", "run-declined", "qrels", "qrels-declined", "alignment", "alignment-declined"],
+)
+def test_a_named_pipe_parses_as_its_bytes_in_a_file(tmp_path, monkeypatch, parse, text, declined):
+    """A pipe reports no size; its bytes are read to the end, both where
+    the columnar reader takes them and where the line reader must."""
+    line_reads = []
+    for name in ("_parse_run_lines", "_parse_qrels_lines", "_parse_alignment_lines"):
+        def spy(path, raw, reader=getattr(gio, name)):
+            line_reads.append(raw)
+            return reader(path, raw)
+
+        monkeypatch.setattr(gio, name, spy)
+    raw = text.encode("utf-8")
+    expected = parse(write(tmp_path, "file.txt", text))
+    assert len(line_reads) == declined
+    pipe = tmp_path / "pipe.txt"
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=pipe.write_bytes, args=(raw,), daemon=True)
+    writer.start()
+    assert parse(pipe) == expected
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert line_reads == [raw] * (2 * declined)

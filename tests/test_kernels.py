@@ -10,11 +10,23 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridfair import BrowsingModelSpec, DistanceSpec, awrf, continuations, eel, group_exposure
+from gridfair import (
+    AlignmentTable,
+    BrowsingModelSpec,
+    DistanceSpec,
+    RelevanceJudgments,
+    RenderPlan,
+    awrf,
+    continuations,
+    eel,
+    group_exposure,
+    target_exposure,
+)
 from gridfair.browse import ADJUSTMENTS, BASES, WITHIN_ROW_MODES, position_weights
-from gridfair.metrics import grade_tiers, tier_means
+from gridfair.layout import HORIZONTAL, REDUCTIONS, VERTICAL, WRAPPED_GRID
+from gridfair.metrics import ideal_exposure
 
-from util import make_schema, prefix_rows
+from util import make_schema, prefix_rows, tier_loop_exposure, tier_loop_target
 
 
 def _clip(value):
@@ -82,6 +94,7 @@ def reference_weights(cont, row_lengths, spec):
 
 PROBABILITIES = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
 BETAS = st.one_of(st.sampled_from([1.0, 1.9, 1e300]), st.floats(1.0, 1e300))
+GRADES = st.sampled_from([0.0, 1.0, 2.0, 3.0])
 
 
 @st.composite
@@ -268,15 +281,99 @@ def test_awrf_and_eel_rows_equal_single_rankings(rows, kind, exclude_unknown):
         assert distance == eel(row, other)
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    st.lists(st.sampled_from([0.0, 1.0, 2.0]), min_size=1, max_size=12),
-    st.integers(1, 4),
+@st.composite
+def ideal_batches(draw):
+    """Best-first grade rows of unequal length, padded with -inf, under a
+    leading batch axis of slot weights (padding weighs anything), with
+    their membership rows."""
+    lengths = draw(st.lists(st.integers(1, 12), min_size=1, max_size=5))
+    width = max(lengths)
+    batch = draw(st.integers(1, 3))
+    # Few grade values give long tiers; many give rows of many tiers.
+    values = draw(st.sampled_from([GRADES, st.integers(0, 11).map(float)]))
+    grades = np.full((len(lengths), width), -np.inf)
+    for q, k in enumerate(lengths):
+        grades[q, :k] = sorted(draw(st.lists(values, min_size=k, max_size=k)), reverse=True)
+    size = batch * grades.size
+    weights = np.array(draw(st.lists(PROBABILITIES, min_size=size, max_size=size)))
+    weights = weights.reshape(batch, *grades.shape)
+    raw = np.array(
+        draw(st.lists(st.floats(0.0, 1.0), min_size=grades.size * 3, max_size=grades.size * 3))
+    ).reshape(*grades.shape, 3)
+    raw[..., 2] += 1e-3  # every row has some membership mass
+    return lengths, weights, grades, raw / raw.sum(axis=-1, keepdims=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ideal_batches())
+def test_ideal_exposure_over_padded_rows_equals_the_tier_loop(case):
+    lengths, weights, grades, members = case
+    batched = ideal_exposure(weights, grades, members)
+    for b, q in np.ndindex(batched.shape[:2]):
+        k = lengths[q]
+        oracle = tier_loop_exposure(weights[b, q, :k], grades[q, :k], members[q, :k])
+        np.testing.assert_allclose(batched[b, q], oracle, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ideal_batches())
+def test_ideal_exposure_rows_equal_single_rankings(case):
+    """Each batched row equals that row alone, and the row without its
+    padding, bit for bit."""
+    lengths, weights, grades, members = case
+    batched = ideal_exposure(weights, grades, members)
+    for b, q in np.ndindex(batched.shape[:2]):
+        k = lengths[q]
+        alone = ideal_exposure(weights[b, q], grades[q], members[q])
+        assert np.array_equal(batched[b, q], alone)
+        unpadded = ideal_exposure(weights[b, q, :k], grades[q, :k], members[q, :k])
+        assert np.array_equal(batched[b, q], unpadded)
+
+
+PLANS = st.one_of(
+    st.just(RenderPlan(VERTICAL, 1)),
+    st.just(RenderPlan(HORIZONTAL, 0)),
+    st.builds(RenderPlan, st.just(WRAPPED_GRID), st.integers(1, 4)),
+    st.builds(
+        lambda columns, extra, reduction: RenderPlan(
+            WRAPPED_GRID, columns, reduction, columns + extra
+        ),
+        st.integers(1, 4),
+        st.integers(0, 3),
+        st.sampled_from(REDUCTIONS),
+    ),
 )
-def test_tier_means_rows_equal_single_rankings(grades, rows):
-    grades = np.sort(np.array(grades))[::-1]
-    tiers = grade_tiers(grades)
-    slot_weight = np.random.default_rng(len(grades)).random((rows, len(grades)))
-    batched = tier_means(slot_weight, tiers)
-    for row, means in zip(slot_weight, batched):
-        assert np.array_equal(means, tier_means(row, tiers))
+SPECS = st.builds(
+    BrowsingModelSpec, base=st.sampled_from(BASES), adjustment=st.sampled_from(ADJUSTMENTS)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(GRADES, min_size=1, max_size=14),
+    PLANS,
+    SPECS,
+    st.booleans(),
+    st.randoms(use_true_random=False),
+)
+def test_target_exposure_equals_the_tier_loop(grades, plan, spec, as_callable, random):
+    """Random grades with ties (grade 0 partly unjudged), mixed
+    membership, every plan kind and every browsing model, through a plan
+    and through its rendering callable."""
+    docs = [f"d{i}" for i in range(len(grades))]
+    random.shuffle(docs)
+    judged = {("q1", d): g for d, g in zip(docs, grades) if g or random.random() < 0.5}
+    rel = RelevanceJudgments(judged)
+    schema = make_schema("A", "B")
+    vectors = {}
+    for d in docs:
+        raw = [random.random() + 1e-3 for _ in range(schema.size)]
+        vectors[d] = [x / sum(raw) for x in raw]
+    table = AlignmentTable.from_weights(schema, vectors)
+    layout = plan.render if as_callable else plan
+    np.testing.assert_allclose(
+        target_exposure("q1", docs, rel, layout, spec, table),
+        tier_loop_target("q1", docs, rel, plan, spec, table),
+        rtol=0,
+        atol=1e-12,
+    )

@@ -71,6 +71,31 @@ def permutation_expectation(docs, grades, plan, spec, table):
     return total / count
 
 
+def tier_loop_exposure(slot_weight, grades, members):
+    """Group exposure of one best-first ordering whose documents share
+    their grade tier's attention, tier by tier: each run of equal
+    ``grades`` gets the mean of its ``slot_weight`` (hidden slots weigh 0).
+    Independent oracle for ``ideal_exposure``."""
+    cuts = np.flatnonzero(grades[1:] != grades[:-1]) + 1
+    edges = [0, *cuts.tolist(), len(grades)]
+    per_doc = np.empty(len(grades))
+    for start, end in zip(edges[:-1], edges[1:]):
+        per_doc[start:end] = slot_weight[start:end].mean()
+    return members.T @ per_doc
+
+
+def tier_loop_target(request, docs, rel, plan, spec, table):
+    """``target_exposure`` by rendering the ideal ordering as a ranking
+    and looping over its grade tiers. Independent oracle."""
+    grades = dict(zip(docs, rel.grades(request, docs).tolist()))
+    ordered = sorted(docs, key=lambda d: (-grades[d], d))
+    grid = plan.render(Ranking(request, 0, tuple(ordered)))
+    slot_weight = np.zeros(len(ordered))
+    slot_weight[grid.ranks] = attention(grid, rel, spec)
+    ordered_grades = np.array([grades[d] for d in ordered])
+    return tier_loop_exposure(slot_weight, ordered_grades, table.matrix(ordered))
+
+
 def prefix_rows(row_lengths, k):
     """The row lengths of the first ``k`` cells of a shape."""
     ends = np.minimum(np.cumsum(row_lengths), k)

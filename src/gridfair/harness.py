@@ -11,7 +11,11 @@ shape is rendered, for that longest row; a shorter row shows a prefix of
 it. Per (plan, browsing model) one batched pass gives the weights, from
 the grades of the displayed items (padding continues with 1.0, which
 changes no product over real items), then the exposures and scores of
-all of them. Results are buffered and sorted before writing.
+all of them. A pass equal to an earlier one by construction (the same
+displayed ranks, and row lengths where the model reads them) is copied,
+not computed again. The results CSV is written straight from the value
+arrays, in an order fixed by sorting the systems, requests and
+configurations once.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .browse import (
+    ADJUST_NONE,
     ROW_SKIP,
     SLOW_DECAY,
     BrowsingModelSpec,
@@ -35,6 +40,7 @@ from .core import AlignmentTable, RelevanceJudgments
 from .errors import ConfigError, MetricError
 from .io import (
     RESULT_FIELDS,
+    ResultsGrid,
     ResultsRow,
     RunFile,
     parse_alignment,
@@ -332,11 +338,27 @@ def _evaluate_run(
     # zero, and padding, of grade -inf, adds nothing whatever it weighs.
     ideal_slots = np.zeros((*sizes[:2], len(rows.lengths) - n, rows.width))
     exposures = np.empty((n, table.schema.size))
+    # Each pass computed, by what its results depend on: the displayed
+    # ranks, the row lengths when the model reads them, and the spec.
+    passes: dict[tuple, tuple[int, int]] = {}
     for pi, plan in enumerate(plans):
         # Plans lay items out by rank, row-major, and truncation keeps a
         # column prefix of every row, so a row of length L shows the first
         # k displayed ranks of the widest row's shape: those below L.
         displayed, row_lengths = plan.shape(rows.width)
+        fresh = []
+        for si, spec in enumerate(specs):
+            # Only the unadjusted model is known to ignore row lengths.
+            rows_read = None if spec.adjustment == ADJUST_NONE else row_lengths.tobytes()
+            done = passes.setdefault((displayed.tobytes(), rows_read, spec), (pi, si))
+            if done == (pi, si):
+                fresh.append((si, spec))
+            else:
+                awrf_values[pi, si] = awrf_values[done]
+                system[pi, si] = system[done]
+                ideal_slots[pi, si] = ideal_slots[done]
+        if not fresh:
+            continue
         shown = np.searchsorted(displayed, rows.lengths)
         padded = np.arange(len(displayed)) >= shown[:, None]
         docs = rows.paths[:, displayed]
@@ -351,7 +373,7 @@ def _evaluate_run(
             for k in sorted(set(shown[:n].tolist()))
             for idx in [np.flatnonzero(shown[:n] == k)]
         ]
-        for si, spec in enumerate(specs):
+        for si, spec in fresh:
             cont = continuations(grades, spec)
             cont[padded] = 1.0
             weights = position_weights(cont, row_lengths, spec)
@@ -397,8 +419,50 @@ def _run_values(run: RunFile, *args) -> dict[str, np.ndarray]:
         raise
 
 
-def measure(config: SweepConfig) -> list[ResultsRow]:
-    """Run the configured sweep and write the results CSV.
+def _results(
+    systems: Sequence[tuple[str, Sequence[str]]],
+    values: Sequence[dict[str, np.ndarray]],
+    plans: Sequence[RenderPlan],
+    specs: Sequence[BrowsingModelSpec],
+    metrics: Sequence[str],
+    per_request: bool,
+) -> ResultsGrid:
+    """The results rows of each ``(system, requests)`` from its values, each
+    metric's shaped (plans, specs, requests): every request's value, if
+    ``per_request``, and their mean as request ``ALL``."""
+    # The fields between request and value of each (plan, spec, metric).
+    keys = [
+        (
+            plan.geometry,
+            plan.columns,
+            plan.reduction,
+            spec.base,
+            spec.adjustment,
+            spec.alpha,
+            spec.gamma,
+            spec.beta,
+            metric,
+        )
+        for plan in plans
+        for spec in specs
+        for metric in metrics
+    ]
+    grids = []
+    for (system, requests), by_metric in zip(systems, values):
+        per_key = np.stack([by_metric[m] for m in metrics], axis=2).reshape(len(keys), -1)
+        # The means go first: a non-finite value makes its mean non-finite,
+        # so the grid names the sweep's first non-finite value.
+        means = np.array([[awrf_system(row) for row in per_key]])
+        if per_request:
+            grids.append((system, ("ALL", *requests), np.vstack([means, per_key.T])))
+        else:
+            grids.append((system, ("ALL",), means))
+    return ResultsGrid(keys, grids)
+
+
+def measure(config: SweepConfig) -> ResultsGrid:
+    """Run the configured sweep and write the results CSV; return its rows,
+    in CSV order, each built when read.
 
     All input files are parsed before any computation, so missing or
     malformed inputs fail fast. Expected-exposure rows need judgments;
@@ -439,33 +503,10 @@ def measure(config: SweepConfig) -> list[ResultsRow]:
     args = (metrics, table, rel, shared_target, delta, config.exclude_unknown, plans, specs)
     values = [_run_values(run, *args) for run in runs]
 
-    rows: list[ResultsRow] = []
-    for ri, run in enumerate(runs):
-        requests = run.requests()
-        for pi, plan in enumerate(plans):
-            for si, spec in enumerate(specs):
-                # The COMPARE_KEYS columns of every row of this (plan, spec).
-                layout_model = (
-                    plan.geometry,
-                    plan.columns,
-                    plan.reduction,
-                    spec.base,
-                    spec.adjustment,
-                    spec.alpha,
-                    spec.gamma,
-                    spec.beta,
-                )
-                for metric in metrics:
-                    per_request = values[ri][metric][pi, si].tolist()
-                    aggregate = awrf_system(per_request)
-                    rows.append(ResultsRow(run.system, "ALL", *layout_model, metric, aggregate))
-                    if config.per_request:
-                        for request, value in zip(requests, per_request):
-                            rows.append(
-                                ResultsRow(run.system, request, *layout_model, metric, value)
-                            )
-    write_results(rows, config.output)
-    return rows
+    systems = [(run.system, run.requests()) for run in runs]
+    results = _results(systems, values, plans, specs, metrics, config.per_request)
+    write_results(results, config.output)
+    return results
 
 
 # ---------------------------------------------------------------------------

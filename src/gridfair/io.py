@@ -24,13 +24,15 @@ import csv
 import math
 import os
 import re
-from collections.abc import Mapping
+from bisect import bisect_right
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, fields
 from functools import cached_property
 from io import StringIO
+from itertools import accumulate
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, get_type_hints
+from typing import get_type_hints
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -429,10 +431,54 @@ def _column(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray
 def _numbers(column: np.ndarray, dtype) -> np.ndarray:
     """Python's ``int``/``float`` reading of each field (numpy's cast from
     bytes follows it), declining what either rejects or cannot hold."""
+    plain = _plain_numbers(column, dtype)
+    if plain is not None:
+        return plain
     try:
         return column.astype(dtype)
     except (ValueError, OverflowError):
         raise _Declined from None
+
+
+# Powers of ten up to 10**15, each exact as a float.
+_POW10 = np.array([float(10**k) for k in range(16)])
+
+
+def _plain_numbers(column: np.ndarray, dtype) -> np.ndarray | None:
+    """The fields of a column of plain decimals of at most 15 bytes, read
+    by digit arithmetic; None for any other column. A plain decimal is
+    ASCII digits and, in a float column, at most one ``.`` after the first
+    digit. Its digits make an integer below 10**15, exact in int64 and in
+    float64, and a float is that integer over a power of ten, both exact,
+    so the one rounding of the division gives the correctly rounded value:
+    the bits of Python's ``int``/``float``."""
+    kind = np.dtype(dtype)
+    width = column.dtype.itemsize
+    if kind not in (np.int64, np.float64) or width > 15 or not len(column):
+        return None
+    # Decline a column with a sign, an exponent or any other byte before
+    # building the byte matrices: first from each field's first byte, then
+    # from all bytes, which must be digits, dots or NUL padding.
+    raw = column.view(np.uint8)
+    if not (
+        (raw[::width] - np.uint8(48) < 10).all()
+        and ((raw - np.uint8(48) < 10) | (raw == 46) | (raw == 0)).all()
+    ):
+        return None
+    # One row per byte column; a field's NUL padding reads as its end.
+    text = np.ascontiguousarray(raw.reshape(-1, width).T)
+    digit = text - np.uint8(48) < 10
+    dot = text == 46
+    pad = text == 0
+    if (pad[:-1] & ~pad[1:]).any() or dot.sum(axis=0, dtype=np.int8).max() > (kind == np.float64):
+        return None
+    value = np.zeros(len(column), dtype=np.int64)
+    for j in range(width):
+        value = np.where(digit[j], value * 10 + (text[j] - 48), value)
+    if kind == np.int64:
+        return value
+    after_dot = digit & np.logical_or.accumulate(dot, axis=0)
+    return value / _POW10[after_dot.sum(axis=0)]
 
 
 def _intern(column: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -722,16 +768,95 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
+# Each results field's text: floats at 12 significant digits.
+_FORMATS = tuple(_fmt if kind is float else str for kind in _RESULT_TYPES)
+
+
+def _csv_fields(cells: Sequence, formats: Sequence = _FORMATS) -> str:
+    """``cells`` formatted by ``formats`` and quoted as CSV fields, comma
+    joined, without a line end."""
+    text = StringIO()
+    csv.writer(text, lineterminator="\n").writerow(
+        [fmt(cell) for fmt, cell in zip(formats, cells)]
+    )
+    return text.getvalue()[:-1]
+
+
+class ResultsGrid(Sequence):
+    """Results rows held as value grids, one per system: a value for each
+    of the system's requests under each key, the fields between request
+    and value (geometry to metric). Rows come in :meth:`ResultsRow.sort_key`
+    order, systems sorted, then requests, then keys, and a row is built
+    only when read; :func:`write_results` writes the grids as they are.
+
+    ``systems`` holds ``(system, requests, values)`` with ``values[r, k]``
+    the value of ``requests[r]`` under ``keys[k]``. A non-finite value is a
+    :class:`MetricError` naming the first, systems and then rows taken in
+    the order given.
+    """
+
+    def __init__(
+        self, keys: Sequence[tuple], systems: Iterable[tuple[str, Sequence[str], np.ndarray]]
+    ):
+        systems = list(systems)
+        for _, _, values in systems:
+            bad = ~np.isfinite(values)
+            if bad.any():
+                raise MetricError(f"non-finite metric value: {float(values[bad][0])}")
+        key_order = sorted(range(len(keys)), key=keys.__getitem__)
+        self._keys = [keys[k] for k in key_order]
+        self._grids = []
+        for system, requests, values in sorted(systems, key=lambda grid: grid[0]):
+            order = sorted(range(len(requests)), key=requests.__getitem__)
+            self._grids.append(
+                (system, [requests[r] for r in order], values[np.ix_(order, key_order)])
+            )
+        # The index of each grid's first row.
+        self._starts = [0, *accumulate(values.size for _, _, values in self._grids)]
+
+    def __len__(self) -> int:
+        return self._starts[-1]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        i = range(len(self))[index]  # IndexError out of range
+        g = bisect_right(self._starts, i) - 1
+        system, requests, values = self._grids[g]
+        r, k = divmod(i - self._starts[g], len(self._keys))
+        return ResultsRow(system, requests[r], *self._keys[k], float(values[r, k]))
+
+    def __eq__(self, other) -> bool:
+        # Equal to a list of the same rows, so callers of ``measure`` may
+        # compare its rows with a list.
+        if not isinstance(other, (list, ResultsGrid)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None
+
+    def lines(self) -> Iterator[str]:
+        """The CSV text of each system and request's rows."""
+        middles = [_csv_fields(key, _FORMATS[2:-1]) for key in self._keys]
+        for system, requests, values in self._grids:
+            for request, row in zip(requests, values.tolist()):
+                head = _csv_fields((system, request), _FORMATS[:2])
+                yield "".join([f"{head},{middle},{_fmt(v)}\n" for middle, v in zip(middles, row)])
+
+
 def write_results(rows: Sequence[ResultsRow], path) -> None:
     """Write rows as CSV with the fixed header, sorted, floats at 12
-    significant digits. Identical inputs produce byte-identical files."""
-    ordered = sorted(rows, key=ResultsRow.sort_key)
+    significant digits. Identical inputs produce byte-identical files. The
+    rows of a :class:`ResultsGrid` are written from its value grids, which
+    are in order already."""
+    if isinstance(rows, ResultsGrid):
+        lines = rows.lines()
+    else:
+        ordered = sorted(rows, key=ResultsRow.sort_key)
+        lines = (_csv_fields(_row_cells(row)) + "\n" for row in ordered)
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(RESULT_FIELDS)
-        formats = [_fmt if kind is float else str for kind in _RESULT_TYPES]
-        for row in ordered:
-            writer.writerow([fmt(cell) for fmt, cell in zip(formats, _row_cells(row))])
+        handle.write(_csv_fields(RESULT_FIELDS, [str] * len(RESULT_FIELDS)) + "\n")
+        handle.writelines(lines)
 
 
 def read_results(path) -> list[ResultsRow]:

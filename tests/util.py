@@ -1,10 +1,21 @@
 """Shared test fixtures: quick builders for tables, rankings, judgments."""
 
+import csv
+import dataclasses
 import itertools
+import typing
 
 import numpy as np
 
-from gridfair import AlignmentTable, GroupSchema, Ranking, RelevanceJudgments, attention
+from gridfair import (
+    AlignmentTable,
+    GroupSchema,
+    Ranking,
+    RelevanceJudgments,
+    ResultsRow,
+    attention,
+    awrf_system,
+)
 from gridfair.layout import HORIZONTAL, VERTICAL
 
 
@@ -120,3 +131,48 @@ def sliced_layout(items, plan):
         _, rows = wrapped(plan.base_columns)
         return plan.columns, [row[: plan.columns] for row in rows]
     return wrapped(plan.columns)
+
+
+def sweep_rows(systems, values, plans, specs, metrics, per_request):
+    """A sweep's results rows built one at a time, in sweep order: per
+    (system, plan, spec, metric) the mean of the request values as ``ALL``,
+    then, if ``per_request``, each request's value. ``systems`` holds
+    ``(system, requests)`` and ``values`` each system's ``{metric: (plans,
+    specs, requests)}``. Independent oracle for the sweep's results grid."""
+    rows = []
+    for (system, requests), by_metric in zip(systems, values):
+        for pi, plan in enumerate(plans):
+            for si, spec in enumerate(specs):
+                layout_model = (
+                    plan.geometry, plan.columns, plan.reduction, spec.base,
+                    spec.adjustment, spec.alpha, spec.gamma, spec.beta,
+                )
+                for metric in metrics:
+                    per_request_values = by_metric[metric][pi, si].tolist()
+                    aggregate = awrf_system(per_request_values)
+                    rows.append(ResultsRow(system, "ALL", *layout_model, metric, aggregate))
+                    if per_request:
+                        for request, value in zip(requests, per_request_values):
+                            rows.append(
+                                ResultsRow(system, request, *layout_model, metric, value)
+                            )
+    return rows
+
+
+def write_rows(rows, path):
+    """Results rows as CSV, one ``csv`` row each after sorting them all by
+    every field but the value; float fields at 12 significant digits.
+    Independent oracle for ``write_results``."""
+    hints = typing.get_type_hints(ResultsRow)
+    names = [f.name for f in dataclasses.fields(ResultsRow)]
+    ordered = sorted(rows, key=lambda row: dataclasses.astuple(row)[:-1])
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(names)
+        for row in ordered:
+            writer.writerow(
+                [
+                    f"{cell:.12g}" if hints[name] is float else str(cell)
+                    for name, cell in zip(names, dataclasses.astuple(row))
+                ]
+            )

@@ -1,21 +1,25 @@
 r"""Readers and writers for run files, judgments, alignments, and results.
 
-All inputs are UTF-8, newline-delimited text; ``\n``, ``\r\n`` and a lone
-``\r`` each end a line. Lines whose first non-blank character is ``#``,
-and blank lines, are ignored. Parsers reject malformed records instead of
-repairing them, and every parse error names the 1-based line it came
-from, a byte that is not UTF-8 included.
+All inputs are UTF-8, newline-delimited text; one leading byte-order mark
+is skipped, and ``\n``, ``\r\n`` and a lone ``\r`` each end a line. Lines
+whose first non-blank character is ``#``, and blank lines, are ignored.
+Parsers reject malformed records instead of repairing them, and every parse
+error names the 1-based line it came from, a byte that is not UTF-8
+included.
 
-Run, judgment and alignment files are read as bytes once and tokenized
-with numpy over the whole buffer: numeric columns are converted from
-fixed-width byte columns, id columns are interned (sorted), and every
-check runs in bulk, so no Python object is built per record. Document ids
-stay UTF-8 bytes, in sorted byte-string arrays; request and group names
-are decoded. On any failed check, and on input that reader leaves alone
-(control bytes, non-ASCII whitespace, very wide fields), the file is read
-again line by line, which names the first bad line and gives odd input
-the meaning ``str.split`` gives it. A NUL byte in a document id, which a
-fixed-width byte string cannot keep, is a parse error naming its line.
+Run, judgment, alignment and fixed-target files are each read one way: as
+bytes once, split into fields with numpy over the whole buffer, converted a
+column at a time and checked in bulk. Whitespace is every byte of the
+characters ``str.split()`` and ``str.strip()`` take for whitespace, ASCII
+and Unicode; other control bytes, NUL too, are field bytes. Each input rule
+is a mask over the records, and the reader raises the error of the first
+record that breaks one, taking a record's rules in the order its fields
+come; the records end at the first line with another number of fields. Id
+columns are interned (sorted) as fixed-width byte strings, or as ``bytes``
+objects where a field holds a NUL or is very wide; a number numpy cannot
+read or hold is read by Python's ``int``/``float``. Document ids stay UTF-8
+bytes, in sorted byte-string arrays, so a NUL in one is a parse error;
+request and group names are decoded.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from __future__ import annotations
 import csv
 import math
 import os
-import re
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, fields
@@ -187,93 +190,32 @@ _row_cells = attrgetter(*RESULT_FIELDS)
 _RESULT_TYPES = tuple(get_type_hints(ResultsRow)[name] for name in RESULT_FIELDS)
 
 
-class _Declined(Exception):
-    """The columnar reader leaves this input to the line-by-line reader."""
-
-
-def _decode(path, raw: bytes) -> str:
-    """The file's text; a byte that is not UTF-8 is a parse error naming
-    its line."""
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        head = raw[: exc.start]
-        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-        raise ParseError(
-            path, line, f"byte 0x{raw[exc.start]:02x} is not UTF-8 ({exc.reason})"
-        ) from None
+def _utf8_error(path, raw, exc: UnicodeDecodeError) -> ParseError:
+    """The parse error of ``raw``'s first byte that is not UTF-8."""
+    head = bytes(raw[: exc.start])
+    line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+    return ParseError(path, line, f"byte 0x{raw[exc.start]:02x} is not UTF-8 ({exc.reason})")
 
 
 def read_text(path) -> str:
-    """A UTF-8 text file's contents; a byte that is not UTF-8 is a parse
-    error naming its line."""
-    return _decode(path, Path(path).read_bytes())
-
-
-def _data_lines(path, raw: bytes) -> Iterator[tuple[int, str]]:
-    r"""(line number, line) of each record: lines end at ``\n``, ``\r\n`` or a
-    lone ``\r``, as in ``open()``'s universal newlines; comment and blank
-    lines are skipped."""
-    text = _decode(path, raw).replace("\r\n", "\n").replace("\r", "\n")
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        yield lineno, line
-
-
-def _records(path, raw: bytes, width: int, sep=None) -> Iterator[tuple[int, list[str]]]:
-    """(line number, fields) of each record, split as ``str.split(sep)``
-    splits it; a record without ``width`` fields is a parse error. Fields
-    split on a separator are stripped."""
-    for lineno, line in _data_lines(path, raw):
-        fields = line.split(sep)
-        if len(fields) != width:
-            kind = "" if sep is None else "tab-separated "
-            raise ParseError(path, lineno, f"expected {width} {kind}columns, got {len(fields)}")
-        yield lineno, fields if sep is None else [field.strip() for field in fields]
-
-
-def _number(path, lineno: int, text: str, name: str, kind=float, bounded: str = ""):
-    """``text`` read by Python's ``int`` or ``float`` (``kind``), a parse
-    error naming it as ``name`` when it is not one. With ``bounded``, its
-    name in these errors, the value must also be finite and not negative."""
+    """A UTF-8 text file's contents after one leading byte-order mark; a
+    byte that is not UTF-8 is a parse error naming its line."""
+    raw = Path(path).read_bytes()
     try:
-        value = kind(text)
-    except ValueError:
-        expected = "an integer" if kind is int else "a number"
-        raise ParseError(path, lineno, f"{name} {text!r} is not {expected}") from None
-    # An int is always finite, and math.isfinite overflows on a huge one.
-    if bounded and kind is float and not math.isfinite(value):
-        raise ParseError(path, lineno, f"non-finite {bounded} {text!r}")
-    if bounded and value < 0:
-        raise ParseError(path, lineno, f"negative {bounded} {value}")
-    return value
+        return raw.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        raise _utf8_error(path, raw, exc) from None
 
 
-def _read(path, columns, lines):
-    """The file read by the columnar reader ``columns``, or, where that
-    declines it, by the line-by-line reader ``lines``. The file is read
-    once, into the columnar reader's buffer; the line reader gets a copy
-    of its bytes only when needed."""
-    buf = _read_padded(path)
-    try:
-        return columns(buf)
-    except _Declined:
-        pass
-    raw = buf[: len(buf) - 1 - _PAD].tobytes()
-    del buf
-    return lines(path, raw)
-
-
-# The non-ASCII characters str.split() and str.strip() read as whitespace.
-_UNICODE_SPACE = re.compile("[\x85\xa0\u1680\u2000-\u200a\u2028\u2029\u202f\u205f\u3000]")
-_HASH = ord("#")
-# Once _buffer has declined the other control bytes, the bytes up to a
-# space are exactly the whitespace: space, tab, CR and LF.
-_SPACE = ord(" ")
-
-
-# The widest field the columnar reader takes; the buffer ends with this
+_LF, _CR, _TAB, _HASH, _SPACE = b"\n\r\t# "
+# The bytes of the characters str.split() and str.strip() read as
+# whitespace: the ASCII ones by value, the others by their UTF-8 bytes.
+_ASCII_SPACE = np.array([c < 128 and chr(c).isspace() for c in range(256)])
+_UNICODE_SPACE = [
+    chr(c).encode()
+    for c in (0x85, 0xA0, 0x1680, *range(0x2000, 0x200B), 0x2028, 0x2029, 0x202F, 0x205F, 0x3000)
+]
+# The widest field a byte-string column takes; the buffer ends with this
 # many NUL bytes, so a window of any field's width fits from every offset.
 _PAD = 4096
 # Offsets are found this many bytes at a time.
@@ -281,56 +223,33 @@ _CHUNK = 1 << 16
 
 
 def _read_padded(path) -> np.ndarray:
-    """The file's bytes, a final line break and ``_PAD`` NUL bytes, read
-    straight into one array."""
+    """The file's bytes after one leading byte-order mark, a final line
+    break and ``_PAD`` NUL bytes, read straight into one array; a byte that
+    is not UTF-8 is a parse error naming its line."""
     with open(path, "rb") as file:
         size = os.fstat(file.fileno()).st_size
         buf = np.zeros(size + 1 + _PAD, dtype=np.uint8)
         size = file.readinto(memoryview(buf)[:size])
         rest = file.read()  # from a file without a size, such as a pipe
     if rest:
-        return _padded(buf[:size].tobytes() + rest)
-    buf[size] = ord("\n")
-    return buf[: size + 1 + _PAD]
-
-
-def _padded(raw: bytes) -> np.ndarray:
-    """``raw``, a line break and ``_PAD`` NUL bytes, as one array."""
-    buf = np.zeros(len(raw) + 1 + _PAD, dtype=np.uint8)
-    buf[: len(raw)] = np.frombuffer(raw, dtype=np.uint8)
-    buf[len(raw)] = ord("\n")
-    return buf
-
-
-def _buffer(raw: bytes | np.ndarray) -> np.ndarray:
-    """The file's bytes, a final line break and ``_PAD`` NUL bytes, when
-    the columnar reader splits them into fields as ``str.split()`` would
-    split the decoded lines; ``raw`` is the bytes, or that array as
-    :func:`_read` reads it. Control bytes other than tab, CR and LF are
-    declined: ``str.split()`` reads some as whitespace, and a NUL would
-    vanish from the end of a fixed-width byte string. The splitters read
-    the padding as whitespace past the last line."""
-    buf = _padded(raw) if isinstance(raw, bytes) else raw
+        buf = np.frombuffer(buf[:size].tobytes() + rest + bytes(1 + _PAD), dtype=np.uint8).copy()
+        size += len(rest)
+    buf[size] = _LF
+    buf = buf[3 if buf[:3].tobytes() == "\ufeff".encode() else 0 : size + 1 + _PAD]
     data = buf[: len(buf) - 1 - _PAD]
-    if len(data) >= 2**31 - 1 - _PAD:
-        raise _Declined  # offsets are int32
-    control = data[data < _SPACE]
-    if ((control != ord("\t")) & (control != ord("\n")) & (control != ord("\r"))).any():
-        raise _Declined
-    if (data >= 0x80).any():
+    if data.max(initial=0) >= 0x80:
         try:
-            text = str(data, "utf-8")
-        except UnicodeDecodeError:
-            raise _Declined from None
-        if _UNICODE_SPACE.search(text):
-            raise _Declined
+            str(data, "utf-8")
+        except UnicodeDecodeError as exc:
+            raise _utf8_error(path, data, exc) from None
     return buf
 
 
 def _offsets(mask: np.ndarray) -> np.ndarray:
-    """``np.flatnonzero(mask)`` as int32, found a chunk at a time, so no
-    int64 index of the whole buffer is built."""
-    out = np.empty(np.count_nonzero(mask), dtype=np.int32)
+    """``np.flatnonzero(mask)``, found a chunk at a time, as int32 below
+    2 GiB, so no int64 index of the whole buffer is built."""
+    dtype = np.int32 if len(mask) < 2**31 else np.int64
+    out = np.empty(np.count_nonzero(mask), dtype=dtype)
     at = 0
     for lo in range(0, len(mask), _CHUNK):
         found = np.flatnonzero(mask[lo : lo + _CHUNK])
@@ -340,17 +259,55 @@ def _offsets(mask: np.ndarray) -> np.ndarray:
     return out
 
 
+def _whitespace(buf: np.ndarray) -> np.ndarray:
+    """Whether each byte is part of a character ``str.split()`` splits on;
+    the padding is whitespace too, and other control bytes, NUL included,
+    are field bytes."""
+    data = buf[: len(buf) - _PAD]
+    # Control bytes that are not whitespace: those below tab, and 0x0e to
+    # 0x1b, found shifted to 0 to 13 in the array the mask then reuses.
+    shifted = buf - np.uint8(0x0E)
+    odd = data.min() < _TAB or shifted[: len(data)].min() < 0x1C - 0x0E
+    space = np.less_equal(buf, _SPACE, out=shifted.view(bool))
+    if odd:
+        space = _ASCII_SPACE[buf]
+        space[len(data) :] = True
+    if data.max() >= 0x80:  # valid UTF-8, so each match is a character
+        leads = {lead: _offsets(data == lead) for lead in {code[0] for code in _UNICODE_SPACE}}
+        for code in _UNICODE_SPACE:
+            at = leads[code[0]]
+            for k in range(1, len(code)):
+                at = at[buf[at + k] == code[k]]
+            for k in range(len(code)):
+                space[at + k] = True
+    return space
+
+
 def _breaks(buf: np.ndarray) -> np.ndarray:
-    """Offsets of the line breaks: every CR and LF byte, ascending."""
-    lf = _offsets(buf == ord("\n"))
-    cr = _offsets(buf == ord("\r"))
-    return np.sort(np.concatenate((lf, cr))) if len(cr) else lf
+    """Offsets of the line ends, ascending: every LF, and every CR not
+    followed by one (the CR of a CRLF is whitespace at its line's end)."""
+    lf = _offsets(buf == _LF)
+    cr = _offsets(buf == _CR)
+    return np.sort(np.concatenate((lf, cr[buf[cr + 1] != _LF]))) if len(cr) else lf
 
 
-def _split_records(buf: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Start and end offsets of the whitespace-separated fields of every
-    record line, each shaped (records, width)."""
-    space = buf <= _SPACE
+def _ragged(lines: np.ndarray, counts: np.ndarray, width: int, kind: str = ""):
+    """How many record lines come before the first without ``width``
+    fields, and that line's (line, message), or None."""
+    bad = np.flatnonzero(counts != width)
+    if not len(bad):
+        return len(lines), None
+    cut = bad[0]
+    return cut, (int(lines[cut]), f"expected {width} {kind}columns, got {counts[cut]}")
+
+
+def _split_records(buf: np.ndarray, width: int):
+    """The whitespace-separated fields of the record lines, as
+    ``str.split()`` splits each decoded line: their start and end offsets,
+    each shaped (records, width), and each record's line number. Records
+    end before the first record line with another number of fields, given
+    as its (line, message), or None."""
+    space = _whitespace(buf)
     edge = np.empty_like(space)
     edge[0] = not space[0]
     np.not_equal(space[1:], space[:-1], out=edge[1:])
@@ -359,85 +316,120 @@ def _split_records(buf: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]
     # and end in turn.
     bounds = _offsets(edge).reshape(-1, 2)
     del edge
-    starts = bounds[:, 0]
-    # A line's first field is the first one after a line break.
-    leads = np.zeros(len(bounds) + 1, dtype=bool)
-    leads[0] = True
-    leads[np.searchsorted(starts, _breaks(buf))] = True
-    first = np.flatnonzero(leads[:-1])
-    counts = np.diff(first, append=len(bounds))
-    record = buf[starts[first]] != _HASH
-    if (counts[record] != width).any():
-        raise _Declined
+    # The number of fields before each line end gives each line's fields.
+    before = np.searchsorted(bounds[:, 0], _breaks(buf))
+    counts = np.diff(before, prepend=0)
+    lines = np.flatnonzero(counts)
+    counts = counts[lines]
+    record = buf[bounds[before[lines] - counts, 0]] != _HASH
+    del before
+    lines = lines[record] + 1
+    cut, ragged = _ragged(lines, counts[record], width)
+    if ragged:
+        record[np.flatnonzero(record)[cut:]] = False
     if not record.all():
         bounds = bounds[np.repeat(record, counts)]
     bounds = bounds.reshape(-1, width, 2)
-    return bounds[:, :, 0], bounds[:, :, 1]
+    return bounds[:, :, 0], bounds[:, :, 1], lines[:cut].astype(np.int32), ragged
 
 
-def _split_tab_records(buf: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Start and end offsets of the tab-separated fields of every record
-    line, each stripped of surrounding whitespace and shaped (records,
-    width)."""
+def _split_tab_records(buf: np.ndarray, width: int):
+    """The tab-separated fields of the record lines, as ``str.split("\\t")``
+    splits each decoded line, each field stripped as ``str.strip()``
+    strips it; returned as :func:`_split_records` returns them."""
+    space = _whitespace(buf)
     breaks = _breaks(buf)
-    line_start = np.concatenate(([0], breaks[:-1] + 1)).astype(np.int32)
-    line_end = breaks
-    lead = _skip_space(buf, line_start, line_end)
+    line_start = np.concatenate(([0], breaks[:-1] + 1)).astype(breaks.dtype)
+    # A CRLF line ends at its CR.
+    line_end = breaks - ((buf[breaks] == _LF) & (buf[breaks - 1] == _CR))
+    del breaks
+    lead = _skip_space(space, line_start, line_end)
     record = lead < line_end
     record[record] = buf[lead[record]] != _HASH
+    del lead
+    lines = np.flatnonzero(record) + 1
     line_start, line_end = line_start[record], line_end[record]
-    tabs = _offsets(buf == ord("\t"))
+    tabs = _offsets(buf == _TAB)
     first_tab = np.searchsorted(tabs, line_start)
-    if (np.searchsorted(tabs, line_end) - first_tab != width - 1).any():
-        raise _Declined
-    cuts = tabs[first_tab[:, None] + np.arange(width - 1)]
+    counts = np.searchsorted(tabs, line_end) - first_tab + 1
+    cut, ragged = _ragged(lines, counts, width, "tab-separated ")
+    del counts
+    line_start, line_end, lines = line_start[:cut], line_end[:cut], lines[:cut]
+    cuts = tabs[first_tab[:cut, None] + np.arange(width - 1)]
+    del tabs, first_tab
     ends = np.column_stack((cuts, line_end))
-    starts = _skip_space(buf, np.column_stack((line_start, cuts + 1)), ends)
-    # Move each end back past trailing spaces (a non-empty field holds a
-    # non-space byte at its start).
-    back = (starts < ends) & (buf[ends - 1] <= _SPACE)
+    starts = _skip_space(space, np.column_stack((line_start, cuts + 1)), ends)
+    # Move each end back past trailing whitespace (a non-empty field holds
+    # a non-space byte at its start).
+    back = (starts < ends) & space[ends - 1]
     if back.any():
-        solid = _offsets(buf > _SPACE)
+        solid = _offsets(~space)
         ends[back] = solid[np.searchsorted(solid, ends[back]) - 1] + 1
-    return starts, ends
+    return starts, ends, lines.astype(np.int32), ragged
 
 
-def _skip_space(buf: np.ndarray, at: np.ndarray, stop: np.ndarray) -> np.ndarray:
+def _skip_space(space: np.ndarray, at: np.ndarray, stop: np.ndarray) -> np.ndarray:
     """The first offset from ``at`` on holding no whitespace, capped at
     ``stop``."""
     out = at.copy()
-    look = (at < stop) & (buf[at] <= _SPACE)
+    look = (at < stop) & space[at]
     if look.any():
-        solid = _offsets(buf > _SPACE)
-        out[look] = np.append(solid, len(buf))[np.searchsorted(solid, at[look])]
+        solid = _offsets(~space)
+        out[look] = np.append(solid, len(space))[np.searchsorted(solid, at[look])]
     return np.minimum(out, stop)
 
 
 def _column(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """The fields ``buf[starts[i]:ends[i]]`` as one fixed-width byte-string
-    array (shorter fields NUL-padded, which numpy reads as their end)."""
+    array (shorter fields NUL-padded, which numpy reads as their end), or,
+    where that cannot hold them exactly (a NUL byte in a field) or cheaply
+    (very wide fields), as an object array of ``bytes``."""
     lengths = ends - starts
     width = max(int(lengths.max(initial=0)), 1)
-    if width > _PAD or width * len(starts) > 2 * len(buf) + 4096:  # very wide fields
-        raise _Declined
-    # Each field's window of the buffer (the padding holds the last ones),
-    # with the bytes past the field cleared one byte column at a time.
-    out = sliding_window_view(buf, width)[starts]
-    for j in range(width):
-        out[lengths <= j, j] = 0
-    return out.view(f"S{width}").ravel()
+    if width <= _PAD and width * len(starts) <= 2 * len(buf) + 4096:
+        # Each field's window of the buffer (the padding holds the last
+        # ones), with the bytes past the field cleared one byte column at a
+        # time; a field holding a NUL leaves fewer bytes than its length.
+        out = sliding_window_view(buf, width)[starts]
+        for j in range(width):
+            out[lengths <= j, j] = 0
+        if np.count_nonzero(out) == lengths.sum():
+            return out.view(f"S{width}").ravel()
+    out = np.empty(len(starts), dtype=object)
+    out[:] = [buf[a:b].tobytes() for a, b in zip(starts.tolist(), ends.tolist())]
+    return out
 
 
-def _numbers(column: np.ndarray, dtype) -> np.ndarray:
-    """Python's ``int``/``float`` reading of each field (numpy's cast from
-    bytes follows it), declining what either rejects or cannot hold."""
-    plain = _plain_numbers(column, dtype)
-    if plain is not None:
-        return plain
+def _numbers(column: np.ndarray, dtype) -> tuple[np.ndarray, np.ndarray | None]:
+    """Each field as Python's ``int`` (``dtype`` int64) or ``float``
+    (float64) reads it, and a mask of the fields it rejects, None when it
+    takes them all. Plain decimals are read by digit arithmetic, other
+    columns by numpy's cast, which reads as Python does where it succeeds;
+    a column the cast cannot read or hold is read field by field, and one
+    holding an integer beyond int64 is an object array of ``int``."""
+    if column.dtype != object:
+        plain = _plain_numbers(column, dtype)
+        if plain is not None:
+            return plain, None
+        try:
+            return column.astype(dtype), None
+        except (ValueError, OverflowError):
+            pass
+    kind = int if dtype == np.int64 else float
+    failed = np.zeros(len(column), dtype=bool)
+    values = []
+    for i, field in enumerate(column.tolist()):
+        try:
+            values.append(kind(field.decode("utf-8")))
+        except ValueError:
+            values.append(kind(0))
+            failed[i] = True
     try:
-        return column.astype(dtype)
-    except (ValueError, OverflowError):
-        raise _Declined from None
+        out = np.array(values, dtype=dtype)
+    except OverflowError:
+        out = np.empty(len(values), dtype=object)
+        out[:] = values
+    return out, failed if failed.any() else None
 
 
 # Powers of ten up to 10**15, each exact as a float.
@@ -481,11 +473,17 @@ def _plain_numbers(column: np.ndarray, dtype) -> np.ndarray | None:
     return value / _POW10[after_dot.sum(axis=0)]
 
 
+def _sort_key(values: np.ndarray) -> np.ndarray:
+    """``values`` as numbers numpy sorts: an object array of ``int`` as
+    each value's rank among them."""
+    return values if values.dtype != object else np.unique(values, return_inverse=True)[1]
+
+
 def _intern(column: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The distinct values of a byte-string column, sorted (UTF-8 byte
     order is code point order); the row each is first seen in; and each
     row's index among them."""
-    order = argsort_ids(column)
+    order = argsort_ids(column) if column.dtype != object else np.argsort(column, kind="stable")
     ordered = column[order]
     new = np.ones(len(order), dtype=bool)
     np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
@@ -494,10 +492,56 @@ def _intern(column: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ordered[new], order[new], codes  # the sort is stable
 
 
-def _repeats(keys: np.ndarray) -> bool:
-    """Whether any value of ``keys`` occurs twice."""
+def _repeats(keys: np.ndarray) -> np.ndarray | None:
+    """Whether each key occurs at an earlier index; None if none does."""
     ordered = np.sort(keys)
-    return bool((ordered[1:] == ordered[:-1]).any())
+    if not (ordered[1:] == ordered[:-1]).any():
+        return None
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    out = np.zeros(len(keys), dtype=bool)
+    out[order[1:][ordered[1:] == ordered[:-1]]] = True
+    return out
+
+
+def _number_rules(column: np.ndarray, dtype, name: str, bounded: str = ""):
+    """The column's numbers (:func:`_numbers`) and its rules for
+    :func:`_check`: each field is a number, quoted as ``name`` when it is
+    not; with ``bounded``, its name in these messages, also finite and not
+    negative."""
+    values, failed = _numbers(column, dtype)
+    expected = "an integer" if dtype == np.int64 else "a number"
+    rules = [(failed, lambda i: f"{name} {column[i].decode()!r} is not {expected}")]
+    if bounded and dtype == np.float64:
+        finite = np.isfinite(values)
+        rules.append((~finite, lambda i: f"non-finite {bounded} {column[i].decode()!r}"))
+    if bounded:
+        rules.append((values < 0, lambda i: f"negative {bounded} {values.item(i)}"))
+    return values, rules
+
+
+def _nul_rule(docs: np.ndarray, doc: np.ndarray):
+    """The rule that a document id holds no NUL byte, which a fixed-width
+    byte string cannot keep; ``doc`` indexes the distinct ids ``docs``."""
+    nul = None
+    if docs.dtype == object:  # a byte-string array holds no NUL
+        nul = np.array([b"\0" in name for name in docs.tolist()], dtype=bool)[doc]
+    return nul, lambda i: f"document id {docs[doc[i]].decode()!r} holds a NUL byte"
+
+
+def _check(path, lines: np.ndarray, ragged, *rules) -> None:
+    """Raise the parse error of the first record that breaks a rule, the
+    first rule it breaks in the order given; else that of the first line
+    with another number of fields, ``ragged``, if there is one. A rule is
+    a mask of the records that break it, or None, and the message of one
+    that does."""
+    rules = [(mask, message) for mask, message in rules if mask is not None and mask.any()]
+    if rules:
+        first = min(int(np.argmax(mask)) for mask, _ in rules)
+        message = next(message for mask, message in rules if mask[first])
+        raise ParseError(path, int(lines[first]), message(first))
+    if ragged:
+        raise ParseError(path, *ragged)
 
 
 def parse_run(path) -> RunFile:
@@ -509,100 +553,56 @@ def parse_run(path) -> RunFile:
     file is authoritative, scores are carried as-is. The system name is
     the first record's tag.
     """
-    return _read(path, _run_columns, _parse_run_lines)
-
-
-def _run_columns(raw: bytes | np.ndarray) -> RunFile:
-    buf = _buffer(raw)
-    starts, ends = _split_records(buf, 6)
-    if not len(starts):
-        raise _Declined
-    system = buf[starts[0, 5] : ends[0, 5]].tobytes().decode("utf-8")
+    buf = _read_padded(path)
+    starts, ends, lines, ragged = _split_records(buf, 6)
+    system = buf[starts[0, 5] : ends[0, 5]].tobytes().decode("utf-8") if len(starts) else ""
     request, it, doc, rank, score = (_column(buf, starts[:, j], ends[:, j]) for j in range(5))
     del buf, starts, ends
     requests, _, request = _intern(request)
     docs, _, doc = _intern(doc)
-    sample = _numbers(np.where(it == b"Q0", b"0", it), np.int64)
-    rank = _numbers(rank, np.int64)
-    score = _numbers(score, np.float64)
-    if (sample < 0).any():
-        raise _Declined
-    order = np.lexsort((rank, sample, request))
-    request, sample, rank = request[order], sample[order], rank[order]
-    new_list = np.concatenate(
-        ([True], (request[1:] != request[:-1]) | (sample[1:] != sample[:-1]))
+    it = np.where(it == b"Q0", b"0", it)
+    sample, sample_rules = _number_rules(it, np.int64, "sample index", "sample index")
+    rank, rank_rules = _number_rules(rank, np.int64, "rank")
+    score, score_rules = _number_rules(score, np.float64, "score")
+    # A list is a (request, sample); its records go by rank, then by line.
+    sample_key, rank_key = _sort_key(sample), _sort_key(rank)
+    order = np.lexsort((rank_key, sample_key, request))
+    new_list = np.ones(len(order), dtype=bool)
+    new_list[1:] = (np.diff(request[order]) != 0) | (np.diff(sample_key[order]) != 0)
+    same_rank = np.zeros(len(order), dtype=bool)
+    same_rank[order[1:][~new_list[1:] & (np.diff(rank_key[order]) == 0)]] = True
+    list_of = np.empty(len(order), dtype=np.int64)
+    list_of[order] = np.cumsum(new_list) - 1
+
+    def where(i):
+        return f"in request {requests[request[i]].decode()!r} sample {sample.item(i)}"
+
+    duplicate = _repeats(list_of * len(docs) + doc)
+    _check(
+        path,
+        lines,
+        ragged,
+        _nul_rule(docs, doc),
+        *sample_rules,
+        *rank_rules,
+        *score_rules,
+        (duplicate, lambda i: f"duplicate document {docs[doc[i]].decode()!r} {where(i)}"),
+        (same_rank, lambda i: f"duplicate rank {rank.item(i)} {where(i)}"),
     )
-    if (~new_list[1:] & (rank[1:] == rank[:-1])).any():
-        raise _Declined  # a repeated rank
-    doc = doc[order]
-    if _repeats((np.cumsum(new_list) - 1) * len(docs) + doc):
-        raise _Declined  # a repeated document
+    if not len(doc):
+        raise ParseError(path, 1, "run file contains no records")
     list_starts = np.flatnonzero(new_list)
-    list_request = request[list_starts]
-    new_request = np.flatnonzero(np.diff(list_request, prepend=-1))
+    new_request = np.flatnonzero(np.diff(request[order[list_starts]], prepend=-1))
     return RunFile(
         system=system,
         request_names=tuple(decode_ids(requests)),
-        docs=docs,
-        doc_codes=doc,
+        docs=np.asarray(docs, dtype=bytes),
+        doc_codes=doc[order],
         scores=score[order],
-        samples=tuple(sample[list_starts].tolist()),
+        samples=tuple(sample[order[list_starts]].tolist()),
         list_offsets=np.append(list_starts, len(doc)),
         request_offsets=np.append(new_request, len(list_starts)),
     )
-
-
-def _parse_run_lines(path, raw: bytes) -> RunFile:
-    """Line-by-line :func:`parse_run`: names the first bad line."""
-    records: dict[tuple[str, int], list[tuple[int, str, float]]] = {}
-    seen_docs: set[tuple[str, int, str]] = set()
-    seen_ranks: set[tuple[str, int, int]] = set()
-    system = None
-    for lineno, (qid, it, docid, rank, score, tag) in _records(path, raw, 6):
-        _check_id(path, lineno, docid)
-        if it == "Q0":
-            it = "0"
-        sample = _number(path, lineno, it, "sample index", int, "sample index")
-        rank = _number(path, lineno, rank, "rank", int)
-        score = _number(path, lineno, score, "score")
-        if (qid, sample, docid) in seen_docs:
-            raise ParseError(
-                path, lineno, f"duplicate document {docid!r} in request {qid!r} sample {sample}"
-            )
-        if (qid, sample, rank) in seen_ranks:
-            raise ParseError(
-                path, lineno, f"duplicate rank {rank} in request {qid!r} sample {sample}"
-            )
-        seen_docs.add((qid, sample, docid))
-        seen_ranks.add((qid, sample, rank))
-        if system is None:
-            system = tag
-        records.setdefault((qid, sample), []).append((rank, docid, score))
-    if system is None:
-        raise ParseError(path, 1, "run file contains no records")
-    rankings: dict[str, list[Ranking]] = {}
-    for (qid, sample), rows in records.items():
-        rows.sort()
-        rankings.setdefault(qid, []).append(
-            Ranking(
-                request=qid,
-                sample=sample,
-                items=tuple(doc for _, doc, _ in rows),
-                scores=tuple(score for _, _, score in rows),
-            )
-        )
-    ordered = {
-        qid: tuple(sorted(lists, key=lambda r: r.sample))
-        for qid, lists in rankings.items()
-    }
-    return RunFile.from_rankings(system, ordered)
-
-
-def _check_id(path, lineno: int, doc: str) -> None:
-    """A NUL in a document id is a parse error: ids are held as fixed-width
-    byte strings, which drop trailing NULs."""
-    if "\0" in doc:
-        raise ParseError(path, lineno, f"document id {doc!r} holds a NUL byte")
 
 
 def _scores(ranking: Ranking) -> tuple[float, ...]:
@@ -612,15 +612,23 @@ def _scores(ranking: Ranking) -> tuple[float, ...]:
     return tuple(float(len(ranking.items) - i) for i in range(len(ranking.items)))
 
 
+def _score_text(score: float) -> str:
+    """``score`` at 12 significant digits where that text reads back to
+    it, else the shortest text that does."""
+    text = _fmt(score)
+    return text if float(text) == score else repr(float(score))
+
+
 def write_run(rankings: Iterable[Ranking], system: str, path) -> None:
-    """Write rankings in the six-column run format, 0-based ranks."""
+    """Write rankings in the six-column run format, 0-based ranks; each
+    score reads back as the same float."""
     ordered = sorted(rankings, key=lambda r: (r.request, r.sample))
     with open(path, "w", encoding="utf-8", newline="\n") as out:
         for ranking in ordered:
             for rank, (doc, score) in enumerate(zip(ranking.items, _scores(ranking))):
                 out.write(
                     f"{ranking.request} {ranking.sample} {doc} {rank} "
-                    f"{_fmt(score)} {system}\n"
+                    f"{_score_text(score)} {system}\n"
                 )
 
 
@@ -631,82 +639,55 @@ def parse_alignment(path) -> AlignmentTable:
     schema covers every observed group name plus ``unknown``, sorted with
     unknown last. Documents keep the order they are first seen in.
     """
-    return _read(path, _alignment_columns, _parse_alignment_lines)
-
-
-def _alignment_columns(raw: bytes | np.ndarray) -> AlignmentTable:
-    buf = _buffer(raw)
-    starts, ends = _split_tab_records(buf, 3)
-    if ((ends[:, :2] - starts[:, :2]) == 0).any():
-        raise _Declined  # an empty document or group name
-    weight = _numbers(_column(buf, starts[:, 2], ends[:, 2]), np.float64)
-    if not (np.isfinite(weight) & (weight >= 0)).all():
-        raise _Declined
+    buf = _read_padded(path)
+    starts, ends, lines, ragged = _split_tab_records(buf, 3)
+    empty = ((ends[:, :2] - starts[:, :2]) == 0).any(axis=1)
     ids, first, doc = _intern(_column(buf, starts[:, 0], ends[:, 0]))
     groups, _, group = _intern(_column(buf, starts[:, 1], ends[:, 1]))
+    weight = _column(buf, starts[:, 2], ends[:, 2])
     del buf, starts, ends
+    weight, weight_rules = _number_rules(weight, np.float64, "weight", "membership weight")
+    empty_rule = (empty, lambda i: "empty document or group name")
+    _check(path, lines, ragged, empty_rule, _nul_rule(ids, doc), *weight_rules)
     # Renumber the documents in the order they are first seen.
     seen = np.argsort(first)
     doc = np.argsort(seen)[doc]
     groups = decode_ids(groups)
     schema = GroupSchema.from_groups(groups)
     group = np.array([schema.index(name) for name in groups], dtype=np.intp)[group]
-    shares = _shares(doc, group, weight, len(ids), schema.size)
+    shares, total = _shares(doc, group, weight, len(ids), schema.size)
     # The per-row arrays go before the table is built, which keeps them out
     # of the reader's peak memory.
     del doc, group, weight
-    return AlignmentTable.from_rows(schema, ids[seen], shares)
+    zero = np.flatnonzero(total <= 0)
+    if len(zero):
+        d = seen[zero[0]]
+        message = f"document {ids[d].decode()!r} has all-zero membership"
+        raise ParseError(path, int(lines[first[d]]), message)
+    return AlignmentTable.from_rows(schema, np.asarray(ids, dtype=bytes)[seen], shares)
 
 
 def _shares(
     doc: np.ndarray, group: np.ndarray, weight: np.ndarray, docs: int, groups: int
-) -> np.ndarray:
-    """Each document's weights summed per group, over its total. A total
-    adds the document's groups in the order first seen for it, as
-    row-by-row sums do."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each document's weights summed per group, over its total, and the
+    totals. A total adds the document's groups in the order first seen for
+    it, as row-by-row sums do; a sum beyond the float range stays as it
+    comes out, for the table's checks."""
     pairs, first_row = np.unique(doc * groups + group, return_index=True)
     pairs = pairs[np.lexsort((first_row, pairs // groups))]
     pair_doc = pairs // groups
     place = np.arange(len(pairs)) - np.searchsorted(pair_doc, pair_doc)
     acc = np.zeros((docs, groups))
     by_place = np.zeros((docs, groups))
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         np.add.at(acc, (doc, group), weight)  # in file order, as row-by-row sums
         by_place[pair_doc, place] = acc[pair_doc, pairs % groups]
         total = by_place[:, 0].copy()
         for k in range(1, int(place.max(initial=0)) + 1):
             total += by_place[:, k]
-    if not (np.isfinite(total) & (total > 0)).all():
-        raise _Declined  # an all-zero document, or sums beyond the float range
-    acc /= total[:, None]
-    return acc
-
-
-def _parse_alignment_lines(path, raw: bytes) -> AlignmentTable:
-    """Line-by-line :func:`parse_alignment`: names the first bad line."""
-    acc_by_doc: dict[str, dict[str, float]] = {}
-    first_line: dict[str, int] = {}
-    groups: set[str] = set()
-    for lineno, (docid, group, weight) in _records(path, raw, 3, "\t"):
-        if not docid or not group:
-            raise ParseError(path, lineno, "empty document or group name")
-        _check_id(path, lineno, docid)
-        weight = _number(path, lineno, weight, "weight", bounded="membership weight")
-        groups.add(group)
-        acc = acc_by_doc.setdefault(docid, {})
-        acc[group] = acc.get(group, 0.0) + weight
-        first_line.setdefault(docid, lineno)
-    schema = GroupSchema.from_groups(groups)
-    vectors = {}
-    for docid, acc in acc_by_doc.items():
-        total = sum(acc.values())
-        if total <= 0:
-            raise ParseError(
-                path, first_line[docid], f"document {docid!r} has all-zero membership"
-            )
-        vec = [acc.get(name, 0.0) / total for name in schema.names]
-        vectors[docid] = vec
-    return AlignmentTable.from_weights(schema, vectors)
+        acc /= total[:, None]
+    return acc, total
 
 
 def parse_qrels(path) -> RelevanceJudgments:
@@ -714,53 +695,55 @@ def parse_qrels(path) -> RelevanceJudgments:
 
     The second column is ignored. Absent pairs read as grade 0.
     """
-    return _read(path, _qrels_columns, _parse_qrels_lines)
-
-
-def _qrels_columns(raw: bytes | np.ndarray) -> RelevanceJudgments:
-    buf = _buffer(raw)
-    starts, ends = _split_records(buf, 4)
+    buf = _read_padded(path)
+    starts, ends, lines, ragged = _split_records(buf, 4)
     request, doc, grade = (_column(buf, starts[:, j], ends[:, j]) for j in (0, 2, 3))
     del buf, starts, ends
-    grade = _numbers(grade, np.float64)
-    if not (np.isfinite(grade) & (grade >= 0)).all():
-        raise _Declined
+    grade, grade_rules = _number_rules(grade, np.float64, "grade", "relevance grade")
     requests, _, request = _intern(request)
     docs, _, doc = _intern(doc)
-    if _repeats(request.astype(np.int64) * len(docs) + doc):
-        raise _Declined  # a repeated (request, document) judgment
+    duplicate = _repeats(request.astype(np.int64) * len(docs) + doc)
+    _check(
+        path,
+        lines,
+        ragged,
+        _nul_rule(docs, doc),
+        *grade_rules,
+        (
+            duplicate,
+            lambda i: "duplicate judgment for "
+            f"{requests[request[i]].decode()!r}/{docs[doc[i]].decode()!r}",
+        ),
+    )
+    docs = np.asarray(docs, dtype=bytes)
     return RelevanceJudgments.from_columns(decode_ids(requests), docs, request, doc, grade)
-
-
-def _parse_qrels_lines(path, raw: bytes) -> RelevanceJudgments:
-    """Line-by-line :func:`parse_qrels`: names the first bad line."""
-    grades: dict[tuple[str, str], float] = {}
-    for lineno, (qid, _, docid, grade) in _records(path, raw, 4):
-        _check_id(path, lineno, docid)
-        grade = _number(path, lineno, grade, "grade", bounded="relevance grade")
-        if (qid, docid) in grades:
-            raise ParseError(path, lineno, f"duplicate judgment for {qid!r}/{docid!r}")
-        grades[(qid, docid)] = grade
-    return RelevanceJudgments(grades)
 
 
 def parse_fixed_target(path, schema: GroupSchema) -> np.ndarray:
     """Read whitespace-separated ``group weight`` lines into a vector over
     the schema's groups; groups not listed weigh 0."""
+    buf = _read_padded(path)
+    starts, ends, lines, ragged = _split_records(buf, 2)
+    if ragged:
+        text = str(buf[: len(buf) - 1 - _PAD], "utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        line = text.split("\n")[ragged[0] - 1].strip()
+        ragged = (ragged[0], f"expected 'group weight', got {line!r}")
+    names, _, name = _intern(_column(buf, starts[:, 0], ends[:, 0]))
+    weight = _column(buf, starts[:, 1], ends[:, 1])
+    weight, weight_rules = _number_rules(weight, np.float64, "weight", "target weight")
+    names = decode_ids(names)
+    index = np.array([schema.names.index(n) if n in schema.names else -1 for n in names], int)
+    index = index[name]
+    _check(
+        path,
+        lines,
+        ragged,
+        (index < 0, lambda i: f"group {names[name[i]]!r} not in the alignment schema"),
+        (_repeats(name), lambda i: f"duplicate group {names[name[i]]!r}"),
+        *weight_rules,
+    )
     values = np.zeros(schema.size)
-    seen = set()
-    for lineno, line in _data_lines(path, Path(path).read_bytes()):
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(path, lineno, f"expected 'group weight', got {line.strip()!r}")
-        name, weight = parts
-        if name not in schema.names:
-            raise ParseError(path, lineno, f"group {name!r} not in the alignment schema")
-        if name in seen:
-            raise ParseError(path, lineno, f"duplicate group {name!r}")
-        weight = _number(path, lineno, weight, "weight", bounded="target weight")
-        values[schema.index(name)] = weight
-        seen.add(name)
+    values[index] = weight
     return values
 
 

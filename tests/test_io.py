@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from gridfair import MetricError, ParseError, Ranking, ResultsRow, parse_alignment, parse_qrels, parse_run
-from gridfair import io as gio
 from gridfair.io import RunFile, read_results, write_results, write_run
+from util import parse_alignment_lines, parse_qrels_lines, parse_run_lines
 
 
 def write(tmp_path, name, text):
@@ -100,6 +100,32 @@ class TestParseRun:
         path = tmp_path / "round.run"
         write_run(rankings, "sysZ", path)
         assert parse_run(path) == run
+
+    def test_scores_read_back_as_the_same_floats(self, tmp_path):
+        """Each score is written as 12 significant digits where those read
+        back to it, else as the shortest text that does."""
+        written = {
+            8.0: "8",
+            0.3: "0.3",
+            0.30000000000000004: "0.30000000000000004",
+            0.1234567890123456: "0.1234567890123456",
+            123456789012.5: "123456789012.5",
+            -0.0: "-0",
+            5e-324: "4.94065645841e-324",
+            1.7976931348623157e308: "1.7976931348623157e+308",
+            float("inf"): "inf",
+            float("nan"): "nan",
+        }
+        scores = tuple(written)
+        rng = np.random.default_rng(5)
+        scores += tuple((rng.uniform(-1, 1, 200) * 10.0 ** rng.integers(-300, 300, 200)).tolist())
+        docs = tuple(f"d{i}" for i in range(len(scores)))
+        path = tmp_path / "scores.run"
+        write_run([Ranking("q1", 0, docs, scores)], "s", path)
+        lines = path.read_text().splitlines()
+        assert [line.split()[4] for line in lines[: len(written)]] == list(written.values())
+        back = parse_run(path).rankings["q1"][0].scores
+        assert np.array_equal(np.array(back).view(np.int64), np.array(scores).view(np.int64))
 
 
 class TestParseAlignment:
@@ -265,37 +291,32 @@ class TestResults:
 
 
 # The large files hold more than a pipe's buffer, so the writer blocks
-# until the reader drains it; the small ones hold a control byte, which
-# only the line reader takes.
+# until the reader drains it; the small ones hold a vertical tab or a form
+# feed, whitespace the reader finds by its byte mask.
 PIPED = [
-    (parse_run, "".join(f"q{i} 0 d{i} 0 1.5 sys\n" for i in range(5000)), False),
-    (parse_run, "q1 0 d1 0 1.5 sys\nq1 0\x0bd2 1 0.5 sys\n", True),
-    (parse_qrels, "".join(f"q{i} 0 d{i} 2\n" for i in range(5000)), False),
-    (parse_qrels, "q1 0 d1 2\nq1\x0c0 d2 1\n", True),
-    (parse_alignment, "".join(f"d{i}\tA\t0.25\nd{i}\tB\t0.75\n" for i in range(5000)), False),
-    (parse_alignment, "d1\tA\t1\nd2\x0b\tB\t1\n", True),
+    (parse_run, parse_run_lines, "".join(f"q{i} 0 d{i} 0 1.5 sys\n" for i in range(5000))),
+    (parse_run, parse_run_lines, "q1 0 d1 0 1.5 sys\nq1 0\x0bd2 1 0.5 sys\n"),
+    (parse_qrels, parse_qrels_lines, "".join(f"q{i} 0 d{i} 2\n" for i in range(5000))),
+    (parse_qrels, parse_qrels_lines, "q1 0 d1 2\nq1\x0c0 d2 1\n"),
+    (parse_alignment, parse_alignment_lines,
+     "".join(f"d{i}\tA\t0.25\nd{i}\tB\t0.75\n" for i in range(5000))),
+    (parse_alignment, parse_alignment_lines, "d1\tA\t1\nd2\x0b\tB\t1\n"),
 ]
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 @pytest.mark.parametrize(
-    "parse, text, declined",
+    "parse, reference, text",
     PIPED,
     ids=["run", "run-declined", "qrels", "qrels-declined", "alignment", "alignment-declined"],
 )
-def test_a_named_pipe_parses_as_its_bytes_in_a_file(tmp_path, monkeypatch, parse, text, declined):
-    """A pipe reports no size; its bytes are read to the end, both where
-    the columnar reader takes them and where the line reader must."""
-    line_reads = []
-    for name in ("_parse_run_lines", "_parse_qrels_lines", "_parse_alignment_lines"):
-        def spy(path, raw, reader=getattr(gio, name)):
-            line_reads.append(raw)
-            return reader(path, raw)
-
-        monkeypatch.setattr(gio, name, spy)
+def test_a_named_pipe_parses_as_its_bytes_in_a_file(tmp_path, parse, reference, text):
+    """A pipe reports no size; its bytes are read to the end, and parse as
+    the same bytes in a file and as the line-by-line reference reads them."""
     raw = text.encode("utf-8")
-    expected = parse(write(tmp_path, "file.txt", text))
-    assert len(line_reads) == declined
+    path = write(tmp_path, "file.txt", text)
+    expected = parse(path)
+    assert expected == reference(path, raw)
     pipe = tmp_path / "pipe.txt"
     os.mkfifo(pipe)
     writer = threading.Thread(target=pipe.write_bytes, args=(raw,), daemon=True)
@@ -303,4 +324,3 @@ def test_a_named_pipe_parses_as_its_bytes_in_a_file(tmp_path, monkeypatch, parse
     assert parse(pipe) == expected
     writer.join(timeout=10)
     assert not writer.is_alive()
-    assert line_reads == [raw] * (2 * declined)

@@ -1,8 +1,7 @@
-"""Every error the line-by-line readers raise, pinned as (path, line, message).
+"""Every error the input readers raise, pinned as (path, line, message).
 
 Each file below fails one rule of its format; the public parser must name
-the file, the line and the exact message. The columnar readers decline all
-of them, so these are the line-by-line readers' texts.
+the file, the line and the exact message.
 """
 
 import pytest

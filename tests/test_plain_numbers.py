@@ -1,7 +1,8 @@
-"""The columnar readers' numeric columns: plain decimals are read by digit
-arithmetic, every other column by numpy's cast from bytes. Either way a
-column reads as ``column.astype(dtype)`` bit for bit, or is declined when
-that cast fails."""
+"""The readers' numeric columns: plain decimals are read by digit
+arithmetic, other columns by numpy's cast from bytes, and a column the cast
+cannot read or hold field by field. The digit reader gives
+``column.astype(dtype)`` bit for bit, and every field reads as Python's
+``int``/``float`` reads it, or is marked as one that it rejects."""
 
 import re
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridfair.io import _Declined, _numbers, _plain_numbers
+from gridfair.io import _numbers, _plain_numbers
 
 PLAIN = {np.int64: re.compile(r"[0-9]+"), np.float64: re.compile(r"[0-9]+(\.[0-9]*)?")}
 
@@ -53,11 +54,17 @@ def _check(column, dtype):
     if plain is not None:
         assert want is not None and plain.dtype == dtype
         assert np.array_equal(plain.view(np.int64), want.view(np.int64))
-    if want is None:
-        with pytest.raises(_Declined):
-            _numbers(column, dtype)
-    else:
-        assert np.array_equal(_numbers(column, dtype).view(np.int64), want.view(np.int64))
+    values, failed = _numbers(column, dtype)
+    kind = int if dtype is np.int64 else float
+    for i, field in enumerate(text):
+        try:
+            expected = kind(field)
+        except ValueError:
+            assert failed is not None and failed[i], field
+            continue
+        assert failed is None or not failed[i], field
+        got = values.item(i)
+        assert type(got) is kind and repr(got) == repr(expected), field
 
 
 @settings(max_examples=500, deadline=None)
@@ -86,5 +93,6 @@ def test_each_edge_case_among_plain_fields(odd, dtype):
 )
 def test_decimal_fractions_round_as_python_does(fields):
     column = np.array(fields)
-    got = _numbers(column, np.float64)
+    got, failed = _numbers(column, np.float64)
+    assert failed is None
     assert got.tolist() == [float(field) for field in fields]

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import itertools
+import math
 import typing
 
 import numpy as np
@@ -10,12 +11,14 @@ import numpy as np
 from gridfair import (
     AlignmentTable,
     GroupSchema,
+    ParseError,
     Ranking,
     RelevanceJudgments,
     ResultsRow,
     attention,
     awrf_system,
 )
+from gridfair.io import RunFile
 from gridfair.layout import HORIZONTAL, VERTICAL
 
 
@@ -176,3 +179,167 @@ def write_rows(rows, path):
                     for name, cell in zip(names, dataclasses.astuple(row))
                 ]
             )
+
+
+# -- line-by-line input readers ---------------------------------------------
+#
+# Independent oracles for ``parse_run``, ``parse_qrels`` and
+# ``parse_alignment``: each decodes the file, splits each line with
+# ``str.split``, checks its fields in order and raises at the first bad line.
+
+
+def _data_lines(path, raw):
+    """(line number, line) of each record: lines end at ``\n``, ``\r\n`` or a
+    lone ``\r``, as in ``open()``'s universal newlines; comment and blank
+    lines are skipped; one leading byte-order mark is, too. A byte that is
+    not UTF-8 is a parse error naming its line."""
+    try:
+        text = raw.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        head = raw[: exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        message = f"byte 0x{raw[exc.start]:02x} is not UTF-8 ({exc.reason})"
+        raise ParseError(path, line, message) from None
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        yield lineno, line
+
+
+def _number(path, lineno, text, name, kind=float, bounded=""):
+    """``text`` read by Python's ``int`` or ``float`` (``kind``), a parse
+    error naming it as ``name`` when it is not one. With ``bounded``, its
+    name in these errors, the value must also be finite and not negative."""
+    try:
+        value = kind(text)
+    except ValueError:
+        expected = "an integer" if kind is int else "a number"
+        raise ParseError(path, lineno, f"{name} {text!r} is not {expected}") from None
+    # An int is always finite, and math.isfinite overflows on a huge one.
+    if bounded and kind is float and not math.isfinite(value):
+        raise ParseError(path, lineno, f"non-finite {bounded} {text!r}")
+    if bounded and value < 0:
+        raise ParseError(path, lineno, f"negative {bounded} {value}")
+    return value
+
+
+def _records(path, raw, width, sep=None):
+    """(line number, fields) of each record, split as ``str.split(sep)``
+    splits it; a record without ``width`` fields is a parse error. Fields
+    split on a separator are stripped."""
+    for lineno, line in _data_lines(path, raw):
+        fields = line.split(sep)
+        if len(fields) != width:
+            kind = "" if sep is None else "tab-separated "
+            raise ParseError(path, lineno, f"expected {width} {kind}columns, got {len(fields)}")
+        yield lineno, fields if sep is None else [field.strip() for field in fields]
+
+
+def _check_id(path, lineno, doc):
+    """A NUL in a document id is a parse error: ids are held as fixed-width
+    byte strings, which drop trailing NULs."""
+    if "\0" in doc:
+        raise ParseError(path, lineno, f"document id {doc!r} holds a NUL byte")
+
+
+def parse_run_lines(path, raw):
+    """Line-by-line ``parse_run`` of the file's bytes ``raw``."""
+    records = {}
+    seen_docs = set()
+    seen_ranks = set()
+    system = None
+    for lineno, (qid, it, docid, rank, score, tag) in _records(path, raw, 6):
+        _check_id(path, lineno, docid)
+        if it == "Q0":
+            it = "0"
+        sample = _number(path, lineno, it, "sample index", int, "sample index")
+        rank = _number(path, lineno, rank, "rank", int)
+        score = _number(path, lineno, score, "score")
+        if (qid, sample, docid) in seen_docs:
+            raise ParseError(
+                path, lineno, f"duplicate document {docid!r} in request {qid!r} sample {sample}"
+            )
+        if (qid, sample, rank) in seen_ranks:
+            raise ParseError(
+                path, lineno, f"duplicate rank {rank} in request {qid!r} sample {sample}"
+            )
+        seen_docs.add((qid, sample, docid))
+        seen_ranks.add((qid, sample, rank))
+        if system is None:
+            system = tag
+        records.setdefault((qid, sample), []).append((rank, docid, score))
+    if system is None:
+        raise ParseError(path, 1, "run file contains no records")
+    rankings = {}
+    for (qid, sample), rows in records.items():
+        rows.sort()
+        rankings.setdefault(qid, []).append(
+            Ranking(
+                request=qid,
+                sample=sample,
+                items=tuple(doc for _, doc, _ in rows),
+                scores=tuple(score for _, _, score in rows),
+            )
+        )
+    ordered = {
+        qid: tuple(sorted(lists, key=lambda r: r.sample)) for qid, lists in rankings.items()
+    }
+    return RunFile.from_rankings(system, ordered)
+
+
+def parse_alignment_lines(path, raw):
+    """Line-by-line ``parse_alignment`` of the file's bytes ``raw``."""
+    acc_by_doc = {}
+    first_line = {}
+    groups = set()
+    for lineno, (docid, group, weight) in _records(path, raw, 3, "\t"):
+        if not docid or not group:
+            raise ParseError(path, lineno, "empty document or group name")
+        _check_id(path, lineno, docid)
+        weight = _number(path, lineno, weight, "weight", bounded="membership weight")
+        groups.add(group)
+        acc = acc_by_doc.setdefault(docid, {})
+        acc[group] = acc.get(group, 0.0) + weight
+        first_line.setdefault(docid, lineno)
+    schema = GroupSchema.from_groups(groups)
+    vectors = {}
+    for docid, acc in acc_by_doc.items():
+        total = sum(acc.values())
+        if total <= 0:
+            raise ParseError(
+                path, first_line[docid], f"document {docid!r} has all-zero membership"
+            )
+        vectors[docid] = [acc.get(name, 0.0) / total for name in schema.names]
+    return AlignmentTable.from_weights(schema, vectors)
+
+
+def parse_qrels_lines(path, raw):
+    """Line-by-line ``parse_qrels`` of the file's bytes ``raw``."""
+    grades = {}
+    for lineno, (qid, _, docid, grade) in _records(path, raw, 4):
+        _check_id(path, lineno, docid)
+        grade = _number(path, lineno, grade, "grade", bounded="relevance grade")
+        if (qid, docid) in grades:
+            raise ParseError(path, lineno, f"duplicate judgment for {qid!r}/{docid!r}")
+        grades[(qid, docid)] = grade
+    return RelevanceJudgments(grades)
+
+
+def parse_fixed_target_lines(path, raw, schema):
+    """Line-by-line ``parse_fixed_target`` of the file's bytes ``raw``."""
+    values = np.zeros(schema.size)
+    seen = set()
+    for lineno, line in _data_lines(path, raw):
+        parts = line.split()
+        if len(parts) != 2:
+            raise ParseError(path, lineno, f"expected 'group weight', got {line.strip()!r}")
+        name, weight = parts
+        if name not in schema.names:
+            raise ParseError(path, lineno, f"group {name!r} not in the alignment schema")
+        if name in seen:
+            raise ParseError(path, lineno, f"duplicate group {name!r}")
+        weight = _number(path, lineno, weight, "weight", bounded="target weight")
+        values[schema.index(name)] = weight
+        seen.add(name)
+    return values

@@ -98,16 +98,6 @@ def continuations(grades: np.ndarray, spec: BrowsingModelSpec) -> np.ndarray:
     return spec.alpha * (1.0 - spec.satisfaction * capped)
 
 
-def _grid_continuations(
-    grid: GridLayout, rel: RelevanceJudgments | None, spec: BrowsingModelSpec
-) -> np.ndarray:
-    """Continuations of a grid's displayed items; without judgments every
-    grade is 0."""
-    if rel is None:
-        return continuations(np.zeros(grid.n_displayed), spec)
-    return continuations(rel.grades(grid.origin.request, grid.items), spec)
-
-
 # The kernels below take continuations of shape (..., n): one ranking per
 # row, all rows sharing the row lengths. Every product runs along the last
 # axis in reading order, so a row gets the same bits alone or in a batch.
@@ -210,5 +200,10 @@ def attention(
     Unadjusted, each weight is the product of the continuations of
     everything read before it (geometric reduces to alpha**rank); row-skip
     with gamma=0 in prefix mode and slow-decay with beta=1 recover it.
+    Without judgments every grade is 0.
     """
-    return position_weights(_grid_continuations(grid, rel, spec), grid.row_lengths, spec)
+    if rel is None:
+        grades = np.zeros(grid.n_displayed)
+    else:
+        grades = rel.grades(grid.origin.request, grid.items)
+    return position_weights(continuations(grades, spec), grid.row_lengths, spec)

@@ -2,8 +2,8 @@
 
 Subcommands:
 
-* ``attention``: print the weight table of a browsing model on a
-  synthetic ranking (optionally cross-checked by simulation).
+* ``attention``: print the weight table of a browsing model under one
+  layout (optionally cross-checked by simulation).
 * ``measure``: sweep layouts x browsing models x metrics over run files
   and write a results CSV.
 * ``rerank``: greedily re-rank a run toward a target group distribution.
@@ -21,8 +21,7 @@ import sys
 from dataclasses import fields
 from typing import get_args, get_origin, get_type_hints
 
-from .browse import ADJUSTMENTS, BASES, ROW_SKIP, BrowsingModelSpec, attention
-from .core import Ranking
+from .browse import ADJUSTMENTS, BASES, ROW_SKIP, BrowsingModelSpec, continuations, position_weights
 from .errors import ConfigError, GridfairError, ParseError
 from .harness import (
     COMPARE_KEYS,
@@ -136,8 +135,8 @@ def _browsing_spec_from_args(args) -> BrowsingModelSpec:
 
 
 def _cmd_attention(args) -> int:
-    """Weights of a synthetic ranking of ``--length`` items under one plan:
-    reading rank, row, column and weight per displayed item."""
+    """Rank, row, column and weight of each displayed slot of a plan, for
+    any ranking of ``--length`` items; every grade is 0."""
     spec = _browsing_spec_from_args(args)
     if args.geometry:
         plan = parse_geometry(args.geometry)
@@ -149,16 +148,16 @@ def _cmd_attention(args) -> int:
         raise ConfigError("length must be non-negative")
     if args.simulate and (spec.adjustment != ROW_SKIP or spec.within_row != "prefix"):
         raise ConfigError("--simulate covers the prefix-mode row-skip model only")
-    ranking = Ranking("synthetic", 0, tuple(f"d{i}" for i in range(args.length)))
-    grid = plan.render(ranking)
-    weights = attention(grid, None, spec)
+    ranks, row_lengths = plan.shape(args.length)
+    cont = continuations([0.0] * len(ranks), spec)
+    weights = position_weights(cont, row_lengths, spec)
     header = "rank row col weight"
     if args.simulate:
-        simulated, stderr = simulate_row_skip(grid, None, spec, args.simulate, args.seed)
+        simulated, stderr = simulate_row_skip(cont, row_lengths, spec, args.simulate, args.seed)
         header += " simulated stderr"
     print(header)
-    for doc in grid.items:
-        row, col, rank = grid.position(doc)
+    cells = ((row, col) for row, length in enumerate(row_lengths.tolist()) for col in range(length))
+    for rank, (row, col) in enumerate(cells):
         line = f"{rank} {row} {col} {float(weights[rank]):.10g}"
         if args.simulate:
             line += f" {simulated[rank]:.10g} {stderr[rank]:.3g}"
@@ -201,7 +200,6 @@ def _cmd_compare(args) -> int:
     reports = compare_orderings(rows, keys)
     if not reports:
         print("nothing to compare (need aggregate rows for >= 2 configurations)")
-        return 0
     for rep in reports:
         head = f"[{rep['metric']}] {rep['config_a']}  vs  {rep['config_b']}"
         if not rep["comparable"]:

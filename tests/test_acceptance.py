@@ -17,6 +17,7 @@ from gridfair import (
     RerankSpec,
     attention,
     awrf,
+    continuations,
     eel,
     greedy_rerank,
     group_exposure,
@@ -150,7 +151,10 @@ def test_c03_simulation_oracle():
         for j, gamma in enumerate((0.3, 0.5, 0.7)):
             spec = BrowsingModelSpec(adjustment="row-skip", alpha=alpha, gamma=gamma)
             exact = attention(grid, None, spec)
-            est, se = simulate_row_skip(grid, None, spec, 1_000_000, seed=900 + 10 * i + j)
+            cont = continuations(np.zeros(grid.n_displayed), spec)
+            est, se = simulate_row_skip(
+                cont, grid.row_lengths, spec, 1_000_000, seed=900 + 10 * i + j
+            )
             assert np.all(np.abs(est - exact) <= 3.0 * se + 1e-12), (alpha, gamma)
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0, f"simulation oracle took {elapsed:.1f}s"

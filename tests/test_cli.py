@@ -787,6 +787,36 @@ class TestMeasureCommand:
         b = read_results(tmp_path / "res_B.csv")[0].value
         assert a == pytest.approx(-b, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "extra,message",
+        [
+            (
+                ("--target", "fixed:{target}", "--exclude-unknown"),
+                "target has no mass outside the unknown group",
+            ),
+            (("--delta", "signed", "--protected", "Z"), "protected group 'Z' not in schema"),
+        ],
+        ids=["unknown-only-target", "unknown-protected-group"],
+    )
+    def test_sweep_wide_metric_error_exits_1(self, inputs, tmp_path, capsys, extra, message):
+        # Both are sweep-wide faults, reported as the first request's failure;
+        # only the message and the exit code are pinned, not that prefix.
+        run_a, _, alignment, _ = inputs
+        target = tmp_path / "target.txt"
+        target.write_text("unknown 1.0\n", encoding="utf-8")
+        out = tmp_path / "res.csv"
+        code = main(
+            [
+                "measure", "--run", str(run_a), "--alignment", str(alignment),
+                "--geometry", "vertical-linear", "--output", str(out),
+                *(arg.format(target=target) for arg in extra),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith(f": {message}\n")
+        assert not out.exists()
+
     def test_exclude_unknown_changes_scores(self, inputs, tmp_path):
         run_a, _, alignment, _ = inputs
         values = {}
@@ -1071,6 +1101,53 @@ class TestCompareCommand:
             tmp_path, capsys, {("vertical-linear", 1): {"s1": 0.1, "s2": 0.2}}
         )
         assert out == "nothing to compare (need aggregate rows for >= 2 configurations)\n"
+
+    def test_one_configuration_still_writes_the_report(self, tmp_path, capsys):
+        path = tmp_path / "results.csv"
+        write_results(self.rows_for({("vertical-linear", 1): {"s1": 0.1, "s2": 0.2}}), path)
+        report = tmp_path / "report.csv"
+        assert main(["compare", "--results", str(path), "--output", str(report)]) == 0
+        assert capsys.readouterr().out == (
+            "nothing to compare (need aggregate rows for >= 2 configurations)\n"
+            f"wrote comparison CSV to {report}\n"
+        )
+        assert report.read_text(encoding="utf-8") == (
+            "metric,config_a,config_b,n_systems,tau_b,mean_delta,max_abs_delta\n"
+        )
+
+    def test_per_request_rows_do_not_change_the_report(self, tmp_path, capsys):
+        """``compare`` reads only the aggregate rows: a ``--per-request``
+        CSV gives the same report as the same sweep without it."""
+        rng = np.random.default_rng(11)
+        runs = [
+            write_run_file(
+                tmp_path / f"{system}.run", system, requests=4, n_items=9,
+                shuffle=lambda docs: rng.shuffle(docs),
+            )
+            for system in ("sysA", "sysB", "sysC")
+        ]
+        alignment = write_alignment_file(tmp_path / "align.tsv", 9, unlabeled_every=4)
+        qrels = write_qrels_file(tmp_path / "qrels.txt", 4, 9)
+        report = tmp_path / "report.csv"
+        got = {}
+        for extra in ((), ("--per-request",)):
+            results = tmp_path / f"results{len(extra)}.csv"
+            args = [
+                "measure", *(arg for run in runs for arg in ("--run", str(run))),
+                "--alignment", str(alignment), "--qrels", str(qrels),
+                "--geometry", "vertical-linear,horizontal-linear,wrapped-grid:3",
+                "--adjust", "none,row-skip", "--metrics", "awrf,eel",
+                "--output", str(results), *extra,
+            ]
+            assert main(args) == 0
+            capsys.readouterr()
+            requests = {row.request for row in read_results(results)}
+            assert requests == ({"ALL", "q0", "q1", "q2", "q3"} if extra else {"ALL"})
+            cmd = ["compare", "--results", str(results), "--per-system", "--output", str(report)]
+            assert main(cmd) == 0
+            got[extra] = (capsys.readouterr().out, report.read_bytes())
+        assert "tau_b=" in got[()][0]
+        assert got[("--per-request",)] == got[()]
 
     def test_short_record_is_parse_error_naming_its_line(self, tmp_path, capsys):
         path = tmp_path / "results.csv"

@@ -9,7 +9,7 @@ from dataclasses import fields, replace
 import pytest
 import yaml
 
-from gridfair import RenderPlan, SweepConfig
+from gridfair import ConfigError, RenderPlan, SweepConfig
 from gridfair.cli import _CONFIG_KEYS, _build_sweep_config, build_parser
 
 # Every key set to a value that differs from the SweepConfig default.
@@ -243,3 +243,35 @@ def test_single_model_flags_are_unchanged(command):
         "--model", "--adjust", "--alpha", "--gamma", "--beta", "--satisfaction", "--within-row",
     }
     assert model <= subcommand_flags(command)
+
+
+VALID = SweepConfig(
+    runs=["a.run"], alignment="a.tsv", geometries=[RenderPlan("vertical-linear", 1)], output="o.csv"
+)
+
+
+def test_a_complete_config_validates_without_reading_files():
+    VALID.validate()
+
+
+@pytest.mark.parametrize(
+    "changes,message",
+    [
+        ({"runs": []}, "at least one run file is required"),
+        ({"alignment": None}, "an alignment file is required"),
+        ({"metrics": []}, "at least one metric is required"),
+        ({"metrics": ["awrf", "ndcg"]}, "unknown metric 'ndcg'"),
+        (
+            {"reductions": ["truncate"], "columns": []},
+            "reductions requested but no column sizes given",
+        ),
+        ({"output": None}, "an output path is required"),
+    ],
+    ids=["no-runs", "no-alignment", "no-metrics", "unknown-metric", "no-columns", "no-output"],
+)
+def test_validate_names_the_missing_setting(changes, message):
+    """The library call reports each gap as the CLI does, before any input
+    is read: none of the named files exists."""
+    with pytest.raises(ConfigError) as info:
+        replace(VALID, **changes).validate()
+    assert str(info.value) == message

@@ -38,7 +38,7 @@ from .metrics import (
     system_exposure,
     target_exposure,
 )
-from .rerank import RerankSpec, greedy_rerank
+from .rerank import RerankSpec, rerank_run
 
 __version__ = "0.1.0"
 
@@ -69,7 +69,6 @@ __all__ = [
     "compare_orderings",
     "continuations",
     "eel",
-    "greedy_rerank",
     "group_exposure",
     "measure",
     "parse_alignment",
@@ -77,6 +76,7 @@ __all__ = [
     "parse_run",
     "population_estimator",
     "render",
+    "rerank_run",
     "rewrap",
     "simulate_row_skip",
     "system_exposure",

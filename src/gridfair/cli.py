@@ -21,6 +21,8 @@ import sys
 from dataclasses import fields
 from typing import get_args, get_origin, get_type_hints
 
+import numpy as np
+
 from .browse import ADJUSTMENTS, BASES, ROW_SKIP, BrowsingModelSpec, continuations, position_weights
 from .errors import ConfigError, GridfairError, ParseError
 from .harness import (
@@ -35,7 +37,7 @@ from .io import parse_alignment, parse_run, read_results, read_text, write_run
 from .layout import VERTICAL, WRAPPED_GRID, RenderPlan, parse_geometry
 from .mc import simulate_row_skip
 from .metrics import PopulationEstimator, population_estimator
-from .rerank import RerankSpec, greedy_rerank
+from .rerank import RerankSpec, rerank_run
 
 # Each ``measure`` flag stores into the SweepConfig field of the same name
 # (``--model`` into ``bases``), and each YAML key is a field name, except
@@ -176,21 +178,16 @@ def _cmd_rerank(args) -> int:
     split_target(args.target)
     run = parse_run(args.run)
     table = parse_alignment(args.alignment)
-    browsing = _browsing_spec_from_args(args)
-    shared = resolve_shared_target(args.target, table)
-    reranked = []
-    for request in run.requests():
-        for ranking in run.rankings[request]:
-            if shared is None:
-                target = population_estimator(
-                    PopulationEstimator("retrieved"), table, sorted(ranking.items)
-                )
-            else:
-                target = shared
-            spec = RerankSpec(target=target, browsing=browsing, pool=args.pool)
-            reranked.append(greedy_rerank(ranking, table, spec))
-    write_run(reranked, run.system, args.output)
-    print(f"wrote {len(reranked)} re-ranked lists to {args.output}")
+    target = resolve_shared_target(args.target, table)
+    if target is None:
+        # Each list's own documents, sorted (codes follow name order).
+        bounds = run.list_offsets.tolist()
+        lists = [run.docs[np.sort(run.doc_codes[a:b])] for a, b in zip(bounds[:-1], bounds[1:])]
+        retrieved = PopulationEstimator("retrieved")
+        target = np.array([population_estimator(retrieved, table, docs) for docs in lists])
+    spec = RerankSpec(target, _browsing_spec_from_args(args), args.pool)
+    write_run(rerank_run(run, table, spec), args.output)
+    print(f"wrote {len(run.samples)} re-ranked lists to {args.output}")
     return 0
 
 

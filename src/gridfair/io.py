@@ -77,13 +77,13 @@ class RunFile:
     @classmethod
     def from_rankings(cls, system: str, rankings: Mapping[str, Sequence[Ranking]]) -> "RunFile":
         """Columns of ``{request: rankings ordered by sample}``; a ranking
-        without scores gets the ones :func:`write_run` writes for it."""
+        without scores gets ``len - rank``, highest first."""
         requests = sorted(rankings)
         lists = [ranking for request in requests for ranking in rankings[request]]
         docs = sorted({doc for ranking in lists for doc in ranking.items})
         code = {doc: i for i, doc in enumerate(docs)}
         items = [doc for ranking in lists for doc in ranking.items]
-        scores = [score for ranking in lists for score in _scores(ranking)]
+        scores = [s for ranking in lists for s in (ranking.scores or range(len(ranking), 0, -1))]
         lengths = [len(ranking) for ranking in lists]
         counts = [len(rankings[request]) for request in requests]
         return cls(
@@ -605,13 +605,6 @@ def parse_run(path) -> RunFile:
     )
 
 
-def _scores(ranking: Ranking) -> tuple[float, ...]:
-    """A ranking's scores; without them, ``len - rank``, highest first."""
-    if ranking.scores is not None:
-        return ranking.scores
-    return tuple(float(len(ranking.items) - i) for i in range(len(ranking.items)))
-
-
 def _score_text(score: float) -> str:
     """``score`` at 12 significant digits where that text reads back to
     it, else the shortest text that does."""
@@ -619,16 +612,20 @@ def _score_text(score: float) -> str:
     return text if float(text) == score else repr(float(score))
 
 
-def write_run(rankings: Iterable[Ranking], system: str, path) -> None:
-    """Write rankings in the six-column run format, 0-based ranks; each
-    score reads back as the same float."""
-    ordered = sorted(rankings, key=lambda r: (r.request, r.sample))
+def write_run(run: RunFile, path) -> None:
+    """Write a run's lists in the six-column run format, in the run's
+    (request, sample) order with 0-based ranks; each score reads back as
+    the same float."""
+    docs = decode_ids(run.docs)
+    counts = np.diff(run.request_offsets).tolist()
+    requests = [name for name, count in zip(run.request_names, counts) for _ in range(count)]
+    bounds = run.list_offsets.tolist()
     with open(path, "w", encoding="utf-8", newline="\n") as out:
-        for ranking in ordered:
-            for rank, (doc, score) in enumerate(zip(ranking.items, _scores(ranking))):
+        for request, sample, a, b in zip(requests, run.samples, bounds[:-1], bounds[1:]):
+            items = zip(run.doc_codes[a:b].tolist(), run.scores[a:b].tolist())
+            for rank, (code, score) in enumerate(items):
                 out.write(
-                    f"{ranking.request} {ranking.sample} {doc} {rank} "
-                    f"{_score_text(score)} {system}\n"
+                    f"{request} {sample} {docs[code]} {rank} {_score_text(score)} {run.system}\n"
                 )
 
 

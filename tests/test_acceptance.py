@@ -19,7 +19,6 @@ from gridfair import (
     awrf,
     continuations,
     eel,
-    greedy_rerank,
     group_exposure,
     rewrap,
     simulate_row_skip,
@@ -32,7 +31,7 @@ from gridfair.cli import main
 from gridfair.io import read_results
 from gridfair.layout import WRAPPED_GRID, RenderPlan
 
-from util import make_judgments, make_ranking, make_table, permutation_expectation
+from util import make_judgments, make_ranking, make_table, permutation_expectation, rerank_ranking
 
 L1 = DistanceSpec("l1")
 
@@ -299,7 +298,7 @@ def test_c10_reranker_properties():
         ranking = Ranking(
             "q1", 0, tuple(assignment), scores=tuple(float(s) for s in rng.uniform(0, 1, n))
         )
-        out = greedy_rerank(ranking, table, RerankSpec(target=target))
+        out = rerank_ranking(ranking, table, RerankSpec(target=target))
         before = _awrf_of(wrap(ranking, 1), table, BrowsingModelSpec(), target)
         after = _awrf_of(wrap(out, 1), table, BrowsingModelSpec(), target)
         if after <= before + 1e-12:

@@ -13,10 +13,10 @@ from gridfair.cli import _browsing_spec_from_args, _build_sweep_config, build_pa
 from gridfair.io import ResultsRow, parse_alignment, parse_run, read_results, write_results
 from gridfair.layout import wrap
 from gridfair.metrics import population_estimator
-from gridfair.rerank import RerankSpec, greedy_rerank
+from gridfair.rerank import RerankSpec
 from gridfair.browse import BrowsingModelSpec
 
-from util import make_table
+from util import greedy_rerank, make_table
 
 
 def weights_from_stdout(out):
@@ -941,6 +941,32 @@ class TestRerankCommand:
             ]
             assert list(got.rankings[request]) == expected
         assert got.rankings != given.rankings
+
+    def test_nan_score_is_an_error_naming_its_list(self, tmp_path, capsys):
+        """A nan score has no place in the score order, so no list is
+        re-ranked; measure still reads the run."""
+        scores = {"dA": "1", "dB": "nan", "dC": "3", "dD": "2", "dE": "5"}
+        lines = ["q1 0 dA 0 1 sysA"]
+        for rank, (doc, score) in enumerate(scores.items()):
+            lines.append(f"q2 1 {doc} {rank} {score} sysA")
+        run = tmp_path / "in.run"
+        run.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        align = tmp_path / "align.tsv"
+        align.write_text("".join(f"{doc}\tA\t1.0\n" for doc in scores), encoding="utf-8")
+        out = tmp_path / "out.run"
+        code = main(
+            [
+                "rerank", "--run", str(run), "--alignment", str(align),
+                "--output", str(out), "--pool", "1",
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: cannot re-rank request 'q2' sample 1: a score is nan" in err
+        assert not out.exists()
+        measured = ["measure", "--run", str(run), "--alignment", str(align)]
+        results = ["--geometry", "vertical-linear", "--output", str(tmp_path / "results.csv")]
+        assert main([*measured, *results]) == 0
 
     @pytest.mark.parametrize("pool", ["0", "-1"])
     def test_pool_below_one_is_usage_error(self, tmp_path, capsys, pool):

@@ -7,7 +7,7 @@ import pytest
 
 from gridfair import MetricError, ParseError, Ranking, ResultsRow, parse_alignment, parse_qrels, parse_run
 from gridfair.io import RunFile, read_results, write_results, write_run
-from util import parse_alignment_lines, parse_qrels_lines, parse_run_lines
+from util import parse_alignment_lines, parse_qrels_lines, parse_run_lines, run_of
 
 
 def write(tmp_path, name, text):
@@ -79,7 +79,7 @@ class TestParseRun:
                 scores = tuple(float(x) for x in rng.uniform(0, 1, size=5))
                 rankings.append(Ranking(f"q{q}", s, docs, scores))
         path = tmp_path / "round.run"
-        write_run(rankings, "sysZ", path)
+        write_run(run_of("sysZ", rankings), path)
         back = parse_run(path)
         assert back.system == "sysZ"
         for ranking in rankings:
@@ -88,8 +88,8 @@ class TestParseRun:
             assert got[0].items == ranking.items
 
     def test_rankings_without_scores_round_trip(self, tmp_path):
-        """A ranking without scores gets the scores write_run writes for it,
-        ``len - rank``, so its columns equal the written file's."""
+        """A ranking without scores gets the scores ``len - rank``, and the
+        run's columns equal those of the file write_run writes of it."""
         rankings = [
             Ranking("q1", 0, ("d2", "d1", "d3")),
             Ranking("q1", 1, ("d1",)),
@@ -98,7 +98,7 @@ class TestParseRun:
         run = RunFile.from_rankings("sysZ", {"q1": tuple(rankings[:2]), "q2": (rankings[2],)})
         assert run.rankings["q1"][0].scores == (3.0, 2.0, 1.0)
         path = tmp_path / "round.run"
-        write_run(rankings, "sysZ", path)
+        write_run(run, path)
         assert parse_run(path) == run
 
     def test_scores_read_back_as_the_same_floats(self, tmp_path):
@@ -121,7 +121,7 @@ class TestParseRun:
         scores += tuple((rng.uniform(-1, 1, 200) * 10.0 ** rng.integers(-300, 300, 200)).tolist())
         docs = tuple(f"d{i}" for i in range(len(scores)))
         path = tmp_path / "scores.run"
-        write_run([Ranking("q1", 0, docs, scores)], "s", path)
+        write_run(run_of("s", [Ranking("q1", 0, docs, scores)]), path)
         lines = path.read_text().splitlines()
         assert [line.split()[4] for line in lines[: len(written)]] == list(written.values())
         back = parse_run(path).rankings["q1"][0].scores

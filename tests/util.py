@@ -10,14 +10,21 @@ import numpy as np
 
 from gridfair import (
     AlignmentTable,
+    DistanceSpec,
     GroupSchema,
+    MetricError,
     ParseError,
     Ranking,
     RelevanceJudgments,
     ResultsRow,
     attention,
+    awrf,
     awrf_system,
+    continuations,
+    group_exposure,
+    rerank_run,
 )
+from gridfair.browse import position_weights
 from gridfair.io import RunFile
 from gridfair.layout import HORIZONTAL, VERTICAL
 
@@ -54,6 +61,14 @@ def make_ranking(n=4, request="q1", sample=0, prefix="d", scores=None):
         items=tuple(f"{prefix}{i}" for i in range(n)),
         scores=scores,
     )
+
+
+def run_of(system, rankings):
+    """The run of ``rankings``, each request's in sample order."""
+    by_request = {}
+    for ranking in sorted(rankings, key=lambda r: (r.request, r.sample)):
+        by_request.setdefault(ranking.request, []).append(ranking)
+    return RunFile.from_rankings(system, {q: tuple(lists) for q, lists in by_request.items()})
 
 
 def make_judgments(request, grades):
@@ -343,3 +358,74 @@ def parse_fixed_target_lines(path, raw, schema):
         values[schema.index(name)] = weight
         seen.add(name)
     return values
+
+
+# -- one-list re-ranking ----------------------------------------------------
+
+
+def rerank_ranking(ranking, table, spec, rel=None):
+    """``rerank_run`` on a run of ``ranking`` alone, as a ranking; a ranking
+    without scores comes back without them."""
+    run = rerank_run(run_of("s", [ranking]), table, spec, rel)
+    (out,) = run.rankings[ranking.request]
+    return out if ranking.scores is not None else dataclasses.replace(out, scores=None)
+
+
+def greedy_rerank(ranking, table, spec, rel=None):
+    """One list re-ranked position by position, each step a Python ``min``
+    over the candidates and a ``position_weights`` call over the placed
+    prefix. Independent oracle for ``rerank_run``; a list without scores
+    is taken in its rank order, and comes back without them."""
+    if not ranking.items:
+        raise MetricError("cannot re-rank an empty ranking")
+    schema = table.schema
+    target = np.asarray(spec.target, dtype=np.float64)
+    if target.shape != (schema.size,):
+        raise MetricError("re-rank target must have one entry per group")
+    total = float(target.sum())
+    if abs(total - 1.0) > 1e-6:
+        raise MetricError(f"re-rank target sums to {total}, expected 1")
+    target = target / total
+
+    items = ranking.items
+    n = len(items)
+    names = schema.names
+    grades = rel.grades(ranking.request, items) if rel is not None else np.zeros(n)
+    cont = continuations(grades, spec.browsing)
+    vectors = table.matrix(items)
+    # The placed items as a vertical list: one item per row.
+    rows = np.ones(n, dtype=np.intp)
+    # Each item's strongest group: its first top-weight column in name order.
+    by_name = np.array(sorted(range(len(names)), key=names.__getitem__))
+    top = vectors == vectors.max(axis=1, keepdims=True)
+    group_idx = by_name[top[:, by_name].argmax(axis=1)].tolist()
+
+    remaining = list(range(n))
+    if ranking.scores is not None:
+        remaining.sort(key=lambda i: -ranking.scores[i])
+    exposure = np.zeros(schema.size)
+    order = []
+    for k in range(1, n + 1):
+        candidates = remaining if spec.pool is None else remaining[: spec.pool]
+        placed = float(exposure.sum())
+        shares = exposure / placed if placed > 0 else np.zeros(schema.size)
+        lag = (shares - target).tolist()
+        pick = min(candidates, key=lambda i: (lag[group_idx[i]], names[group_idx[i]]))
+        remaining.remove(pick)
+        order.append(pick)
+        # A weight depends on the items up to its own, so the last is final.
+        weights = position_weights(cont[order], rows[:k], spec.browsing)
+        exposure = exposure + weights[-1] * vectors[pick]
+
+    # Both orders judged as one batch, under the greedy pass's own model.
+    both = np.array([np.arange(n), order])
+    exposures = group_exposure(position_weights(cont[both], rows, spec.browsing), vectors[both])
+    before, after = awrf(exposures, target, DistanceSpec("l1"), schema)
+    if after > before + 1e-12:
+        return ranking
+    return Ranking(
+        request=ranking.request,
+        sample=ranking.sample,
+        items=tuple(items[i] for i in order),
+        scores=None if ranking.scores is None else tuple(ranking.scores[i] for i in order),
+    )

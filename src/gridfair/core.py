@@ -251,9 +251,6 @@ class AlignmentTable:
         """The documents' UTF-8 ids, sorted, as one byte-string array."""
         return self._ids
 
-    def vector(self, doc: str) -> np.ndarray:
-        return self._matrix[self._rows[_find_ids(self._ids, [doc])[0]]]
-
     def matrix(self, items: DocIds) -> np.ndarray:
         """Membership matrix (one row per item, one column per group);
         ``items`` are str or a UTF-8 byte-string array."""
@@ -344,9 +341,6 @@ class RelevanceJudgments:
 
     def __len__(self) -> int:
         return len(self._keys)
-
-    def grade(self, request: str, doc: str) -> float:
-        return float(self.grades(request, (doc,))[0])
 
     def grades(self, request: str, items: DocIds) -> np.ndarray:
         return self.lookup((request,), items, np.zeros(len(items), np.intp), np.arange(len(items)))

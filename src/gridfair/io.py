@@ -27,13 +27,10 @@ from __future__ import annotations
 import csv
 import math
 import os
-from bisect import bisect_right
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, fields
 from functools import cached_property
 from io import StringIO
-from itertools import accumulate
-from operator import attrgetter
 from pathlib import Path
 from typing import get_type_hints
 
@@ -178,14 +175,8 @@ class ResultsRow:
         if not math.isfinite(self.value):
             raise MetricError(f"non-finite metric value: {self.value}")
 
-    def sort_key(self):
-        """Every field but the value, in declaration order."""
-        return _row_key(self)
-
 
 RESULT_FIELDS = tuple(f.name for f in fields(ResultsRow))
-_row_key = attrgetter(*(name for name in RESULT_FIELDS if name != "value"))
-_row_cells = attrgetter(*RESULT_FIELDS)
 # Field types double as the reader's conversions from CSV text.
 _RESULT_TYPES = tuple(get_type_hints(ResultsRow)[name] for name in RESULT_FIELDS)
 
@@ -752,7 +743,7 @@ def _fmt(value: float) -> str:
 _FORMATS = tuple(_fmt if kind is float else str for kind in _RESULT_TYPES)
 
 
-def _csv_fields(cells: Sequence, formats: Sequence = _FORMATS) -> str:
+def _csv_fields(cells: Sequence, formats: Sequence) -> str:
     """``cells`` formatted by ``formats`` and quoted as CSV fields, comma
     joined, without a line end."""
     text = StringIO()
@@ -762,12 +753,12 @@ def _csv_fields(cells: Sequence, formats: Sequence = _FORMATS) -> str:
     return text.getvalue()[:-1]
 
 
-class ResultsGrid(Sequence):
+class ResultsGrid:
     """Results rows held as value grids, one per system: a value for each
     of the system's requests under each key, the fields between request
-    and value (geometry to metric). Rows come in :meth:`ResultsRow.sort_key`
-    order, systems sorted, then requests, then keys, and a row is built
-    only when read; :func:`write_results` writes the grids as they are.
+    and value (geometry to metric). Rows come in CSV order, systems sorted,
+    then requests, then keys; ``len`` counts them without building one, and
+    iterating builds each :class:`ResultsRow` with its exact value.
 
     ``systems`` holds ``(system, requests, values)`` with ``values[r, k]``
     the value of ``requests[r]`` under ``keys[k]``. A non-finite value is a
@@ -791,29 +782,15 @@ class ResultsGrid(Sequence):
             self._grids.append(
                 (system, [requests[r] for r in order], values[np.ix_(order, key_order)])
             )
-        # The index of each grid's first row.
-        self._starts = [0, *accumulate(values.size for _, _, values in self._grids)]
 
     def __len__(self) -> int:
-        return self._starts[-1]
+        return sum(values.size for _, _, values in self._grids)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(len(self))[index]]
-        i = range(len(self))[index]  # IndexError out of range
-        g = bisect_right(self._starts, i) - 1
-        system, requests, values = self._grids[g]
-        r, k = divmod(i - self._starts[g], len(self._keys))
-        return ResultsRow(system, requests[r], *self._keys[k], float(values[r, k]))
-
-    def __eq__(self, other) -> bool:
-        # Equal to a list of the same rows, so callers of ``measure`` may
-        # compare its rows with a list.
-        if not isinstance(other, (list, ResultsGrid)):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    __hash__ = None
+    def __iter__(self) -> Iterator[ResultsRow]:
+        for system, requests, values in self._grids:
+            for request, row in zip(requests, values.tolist()):
+                for key, value in zip(self._keys, row):
+                    yield ResultsRow(system, request, *key, value)
 
     def lines(self) -> Iterator[str]:
         """The CSV text of each system and request's rows."""
@@ -824,19 +801,13 @@ class ResultsGrid(Sequence):
                 yield "".join([f"{head},{middle},{_fmt(v)}\n" for middle, v in zip(middles, row)])
 
 
-def write_results(rows: Sequence[ResultsRow], path) -> None:
-    """Write rows as CSV with the fixed header, sorted, floats at 12
-    significant digits. Identical inputs produce byte-identical files. The
-    rows of a :class:`ResultsGrid` are written from its value grids, which
-    are in order already."""
-    if isinstance(rows, ResultsGrid):
-        lines = rows.lines()
-    else:
-        ordered = sorted(rows, key=ResultsRow.sort_key)
-        lines = (_csv_fields(_row_cells(row)) + "\n" for row in ordered)
+def write_results(grid: ResultsGrid, path) -> None:
+    """Write a results grid as CSV with the fixed header, in the grid's row
+    order, floats at 12 significant digits. Identical inputs produce
+    byte-identical files."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(_csv_fields(RESULT_FIELDS, [str] * len(RESULT_FIELDS)) + "\n")
-        handle.writelines(lines)
+        handle.writelines(grid.lines())
 
 
 def read_results(path) -> list[ResultsRow]:

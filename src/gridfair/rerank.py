@@ -63,10 +63,13 @@ def rerank_run(
     target = np.asarray(spec.target, dtype=np.float64)
     if target.shape not in ((schema.size,), (n_lists, schema.size)):
         raise MetricError("re-rank target must have one entry per group")
-    total = target.sum(axis=-1, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = target.sum(axis=-1, keepdims=True)
     off = total[~(np.abs(total - 1.0) <= 1e-6)]  # a nan sum included
     if off.size:
         raise MetricError(f"re-rank target sums to {off[0]}, expected 1")
+    if not (target >= 0).all():  # a sum near 1 leaves every entry finite
+        raise MetricError("re-rank target must be non-negative and finite")
     target = np.broadcast_to(target / total, (n_lists, schema.size))
 
     # Row i holds list i's items in rank order; padding points at item 0.

@@ -74,7 +74,7 @@ def test_alignment_rows_match_a_dict(tmp_path, labels, queries, extra_width):
         assert np.array_equal(table.matrix(items), expected)
     for q in queries:
         assert (q in table) == (q in vectors)
-        assert np.array_equal(table.vector(q), vectors.get(q, unknown))
+        assert np.array_equal(table.matrix([q])[0], vectors.get(q, unknown))
     assert table.documents() == tuple(labels)
     assert table == AlignmentTable.from_weights(table.schema, vectors)
 

@@ -10,13 +10,13 @@ import gridfair
 
 from gridfair import DistanceSpec, PopulationEstimator, SweepConfig, attention, awrf, group_exposure
 from gridfair.cli import _browsing_spec_from_args, _build_sweep_config, build_parser, main
-from gridfair.io import ResultsRow, parse_alignment, parse_run, read_results, write_results
+from gridfair.io import ResultsRow, parse_alignment, parse_run, read_results
 from gridfair.layout import wrap
 from gridfair.metrics import population_estimator
 from gridfair.rerank import RerankSpec
 from gridfair.browse import BrowsingModelSpec
 
-from util import greedy_rerank, make_table
+from util import greedy_rerank, make_table, write_rows
 
 
 def weights_from_stdout(out):
@@ -1036,7 +1036,7 @@ class TestCompareCommand:
 
     def run_compare(self, tmp_path, capsys, values_by_config, extra=()):
         path = tmp_path / "results.csv"
-        write_results(self.rows_for(values_by_config), path)
+        write_rows(self.rows_for(values_by_config), path)
         assert main(["compare", "--results", str(path), *extra]) == 0
         return capsys.readouterr().out
 
@@ -1086,7 +1086,7 @@ class TestCompareCommand:
 
     def test_csv_report(self, tmp_path, capsys):
         path = tmp_path / "results.csv"
-        write_results(
+        write_rows(
             self.rows_for(
                 {
                     ("vertical-linear", 1): {"s1": 0.1, "s2": 0.2},
@@ -1118,7 +1118,7 @@ class TestCompareCommand:
 
     def test_unknown_grouping_key_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "results.csv"
-        write_results(self.rows_for({("vertical-linear", 1): {"s1": 0.1, "s2": 0.2}}), path)
+        write_rows(self.rows_for({("vertical-linear", 1): {"s1": 0.1, "s2": 0.2}}), path)
         assert main(["compare", "--results", str(path), "--by", "foo"]) == 1
         assert "error: unknown grouping key 'foo'" in capsys.readouterr().err
 
@@ -1130,7 +1130,7 @@ class TestCompareCommand:
 
     def test_one_configuration_still_writes_the_report(self, tmp_path, capsys):
         path = tmp_path / "results.csv"
-        write_results(self.rows_for({("vertical-linear", 1): {"s1": 0.1, "s2": 0.2}}), path)
+        write_rows(self.rows_for({("vertical-linear", 1): {"s1": 0.1, "s2": 0.2}}), path)
         report = tmp_path / "report.csv"
         assert main(["compare", "--results", str(path), "--output", str(report)]) == 0
         assert capsys.readouterr().out == (
@@ -1177,7 +1177,7 @@ class TestCompareCommand:
 
     def test_short_record_is_parse_error_naming_its_line(self, tmp_path, capsys):
         path = tmp_path / "results.csv"
-        write_results(self.rows_for({("vertical-linear", 1): {"s1": 0.1}}), path)
+        write_rows(self.rows_for({("vertical-linear", 1): {"s1": 0.1}}), path)
         with open(path, "a", encoding="utf-8") as handle:
             handle.write("\na,b,c,d\n")
         assert main(["compare", "--results", str(path)]) == 2
@@ -1186,7 +1186,7 @@ class TestCompareCommand:
     def test_repeated_aggregate_is_metric_error(self, tmp_path, capsys):
         path = tmp_path / "results.csv"
         rows = self.rows_for({("vertical-linear", 1): {"s1": 0.1, "s2": 0.2}})
-        write_results([*rows, rows[0]], path)
+        write_rows([*rows, rows[0]], path)
         assert main(["compare", "--results", str(path)]) == 1
         err = capsys.readouterr().err
         assert "system 's1' has two awrf values for configuration geometry=vertical-linear," in err
@@ -1195,7 +1195,7 @@ class TestCompareCommand:
         """tau-b needs numpy alone: ``compare`` runs in a fresh process
         where scipy cannot be imported."""
         path = tmp_path / "results.csv"
-        write_results(
+        write_rows(
             self.rows_for(
                 {
                     ("vertical-linear", 1): {"s1": 0.1, "s2": 0.2, "s3": 0.3, "s4": 0.4},
@@ -1221,7 +1221,7 @@ class TestCompareCommand:
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
     def test_undecodable_byte_is_parse_error_naming_its_line(self, tmp_path, capsys, newline):
         path = tmp_path / "results.csv"
-        write_results(self.rows_for({("vertical-linear", 1): {"s1": 0.1, "s2": 0.2}}), path)
+        write_rows(self.rows_for({("vertical-linear", 1): {"s1": 0.1, "s2": 0.2}}), path)
         lines = path.read_bytes().splitlines()
         path.write_bytes(newline.encode().join([*lines[:2], lines[2].replace(b"s2", b"caf\xe9")]))
         assert main(["compare", "--results", str(path)]) == 2
@@ -1229,7 +1229,7 @@ class TestCompareCommand:
 
     def test_non_finite_value_is_parse_error(self, tmp_path, capsys):
         path = tmp_path / "results.csv"
-        write_results(self.rows_for({("vertical-linear", 1): {"s1": 0.1, "s2": 0.2}}), path)
+        write_rows(self.rows_for({("vertical-linear", 1): {"s1": 0.1, "s2": 0.2}}), path)
         path.write_text(path.read_text().replace(",0.2\n", ",nan\n"), encoding="utf-8")
         assert main(["compare", "--results", str(path)]) == 2
         assert f"{path}:3: non-finite metric value" in capsys.readouterr().err

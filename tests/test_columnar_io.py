@@ -366,10 +366,10 @@ def test_a_leading_byte_order_mark_is_skipped(tmp_path):
         return path
 
     rel = parse_qrels(write("q.txt", "q1 0 d1 2\n"))
-    assert rel.grade("q1", "d1") == 2.0
+    assert rel.grades("q1", ["d1"])[0] == 2.0
     table = parse_alignment(write("a.tsv", "d1\tA\t1\n"))
     assert table.documents() == ("d1",)
-    assert table.vector("d1").tolist() == [1.0, 0.0]
+    assert table.matrix(["d1"])[0].tolist() == [1.0, 0.0]
     run = parse_run(write("a.run", "q1 0 d1 0 1 s\n"))
     assert run.requests() == ("q1",)
     schema = GroupSchema.from_groups(["A"])

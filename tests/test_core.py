@@ -75,7 +75,7 @@ class TestAlignmentTable:
     def test_lookup_is_total(self):
         table = make_table({"d1": "a"})
         for doc in ("d1", "never-seen", ""):
-            vec = table.vector(doc)
+            vec = table.matrix([doc])[0]
             assert vec.shape == (2,)
             assert vec.sum() == pytest.approx(1.0)
 
@@ -102,7 +102,7 @@ class TestAlignmentTable:
         weights = {f"d{i}": raw[i].tolist() for i in range(50)}
         table = AlignmentTable.from_weights(GroupSchema.from_groups("abcd"), weights)
         for doc, vec in weights.items():
-            assert table.vector(doc).tobytes() == normalize_weights(vec).tobytes()
+            assert table.matrix([doc])[0].tobytes() == normalize_weights(vec).tobytes()
         assert table.matrix(list(weights)).tobytes() == np.stack(
             [normalize_weights(vec) for vec in weights.values()]
         ).tobytes()
@@ -141,13 +141,12 @@ class TestAlignmentTable:
         table = make_table({"d1": "a", "d2": "b"})
         assert len(table) == 2 and "d1" in table and "d3" not in table
         assert table.documents() == ("d1", "d2")
-        assert not table.vector("d1").flags.writeable
-        assert not table.vector("absent").flags.writeable
+        assert not table._matrix.flags.writeable
         assert table.matrix([]).shape == (0, 3)
         gathered = table.matrix(["d2", "absent", "d1"])
         assert gathered.tolist() == [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]
         gathered[0, 0] = 5.0  # a gather is a copy
-        assert table.vector("d2").tolist() == [0.0, 1.0, 0.0]
+        assert table.matrix(["d2"])[0].tolist() == [0.0, 1.0, 0.0]
 
 
 class TestRanking:
@@ -175,8 +174,8 @@ class TestRanking:
 class TestRelevanceJudgments:
     def test_absent_pairs_read_as_zero(self):
         rel = RelevanceJudgments({("q1", "d1"): 1.0})
-        assert rel.grade("q1", "d2") == 0.0
-        assert rel.grade("q2", "d1") == 0.0
+        assert rel.grades("q1", ["d2"])[0] == 0.0
+        assert rel.grades("q2", ["d1"])[0] == 0.0
 
     def test_negative_grade_rejected(self):
         with pytest.raises(ShapeError):
@@ -221,5 +220,5 @@ class TestRelevanceJudgments:
         requests, docs = ["q2", "q1", "qx"], ["d1", "d2", "dx"]
         pairs = [(0, 0), (1, 1), (1, 0), (2, 0), (0, 2)]
         got = rel.lookup(requests, docs, *np.array(pairs).T)
-        assert got.tolist() == [rel.grade(requests[q], docs[d]) for q, d in pairs]
+        assert got.tolist() == [rel.grades(requests[q], [docs[d]])[0] for q, d in pairs]
         assert got.tolist() == [5.0, 2.0, 0.0, 0.0, 0.0]

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from gridfair import MetricError, ParseError, Ranking, ResultsRow, parse_alignment, parse_qrels, parse_run
-from gridfair.io import RunFile, read_results, write_results, write_run
-from util import parse_alignment_lines, parse_qrels_lines, parse_run_lines, run_of
+from gridfair.io import ResultsGrid, RunFile, read_results, write_results, write_run
+from util import parse_alignment_lines, parse_qrels_lines, parse_run_lines, row_key, run_of
+from util import write_rows
 
 
 def write(tmp_path, name, text):
@@ -132,16 +133,16 @@ class TestParseAlignment:
     def test_single_label(self, tmp_path):
         table = parse_alignment(write(tmp_path, "a.tsv", "d1\tA\t1.0\n"))
         assert table.schema.names == ("A", "unknown")
-        assert table.vector("d1").tolist() == [1.0, 0.0]
+        assert table.matrix(["d1"])[0].tolist() == [1.0, 0.0]
 
     def test_multiple_rows_accumulate_and_normalize(self, tmp_path):
         table = parse_alignment(write(tmp_path, "a.tsv", "d1\tA\t1\nd1\tB\t1\n"))
         assert table.schema.names == ("A", "B", "unknown")
-        assert table.vector("d1").tolist() == [0.5, 0.5, 0.0]
+        assert table.matrix(["d1"])[0].tolist() == [0.5, 0.5, 0.0]
 
     def test_unlabeled_document_reads_as_unknown(self, tmp_path):
         table = parse_alignment(write(tmp_path, "a.tsv", "d1\tA\t1.0\n"))
-        assert table.vector("d2").tolist() == [0.0, 1.0]
+        assert table.matrix(["d2"])[0].tolist() == [0.0, 1.0]
 
     def test_negative_weight_rejected(self, tmp_path):
         with pytest.raises(ParseError):
@@ -164,15 +165,15 @@ class TestParseAlignment:
 class TestParseQrels:
     def test_basic(self, tmp_path):
         rel = parse_qrels(write(tmp_path, "q.txt", "q1 0 d1 1\n"))
-        assert rel.grade("q1", "d1") == 1.0
+        assert rel.grades("q1", ["d1"])[0] == 1.0
 
     def test_missing_pair_is_zero(self, tmp_path):
         rel = parse_qrels(write(tmp_path, "q.txt", "q1 0 d1 1\n"))
-        assert rel.grade("q1", "d2") == 0.0
+        assert rel.grades("q1", ["d2"])[0] == 0.0
 
     def test_graded_relevance_passes_through(self, tmp_path):
         rel = parse_qrels(write(tmp_path, "q.txt", "q1 0 d1 2\n"))
-        assert rel.grade("q1", "d1") == 2.0
+        assert rel.grades("q1", ["d1"])[0] == 2.0
 
     def test_negative_grade_rejected(self, tmp_path):
         with pytest.raises(ParseError):
@@ -184,7 +185,7 @@ class TestParseQrels:
 
     def test_second_column_ignored(self, tmp_path):
         rel = parse_qrels(write(tmp_path, "q.txt", "q1 whatever d1 1\n"))
-        assert rel.grade("q1", "d1") == 1.0
+        assert rel.grades("q1", ["d1"])[0] == 1.0
 
 
 def sample_row(**overrides):
@@ -209,13 +210,13 @@ def sample_row(**overrides):
 class TestResults:
     def test_empty_input_writes_header_only(self, tmp_path):
         path = tmp_path / "r.csv"
-        write_results([], path)
+        write_results(ResultsGrid([], []), path)
         assert path.read_text().strip().count("\n") == 0
         assert path.read_text().startswith("system,request,geometry,columns,")
 
     def test_one_row(self, tmp_path):
         path = tmp_path / "r.csv"
-        write_results([sample_row()], path)
+        write_rows([sample_row()], path)
         lines = path.read_text().strip().split("\n")
         assert len(lines) == 2
 
@@ -226,21 +227,21 @@ class TestResults:
         ]
         first = tmp_path / "first.csv"
         second = tmp_path / "second.csv"
-        write_results(rows, first)
-        write_results(list(reversed(rows)), second)
+        write_rows(rows, first)
+        write_rows(list(reversed(rows)), second)
         assert first.read_bytes() == second.read_bytes()
 
     def test_twelve_significant_digits(self, tmp_path):
         path = tmp_path / "r.csv"
-        write_results([sample_row(value=1 / 3)], path)
+        write_rows([sample_row(value=1 / 3)], path)
         assert "0.333333333333" in path.read_text()
 
     def test_read_round_trip(self, tmp_path):
         rows = [sample_row(value=0.125), sample_row(metric="eel", value=2.5)]
         path = tmp_path / "r.csv"
-        write_results(rows, path)
+        write_rows(rows, path)
         back = read_results(path)
-        assert sorted(r.sort_key() for r in back) == sorted(r.sort_key() for r in rows)
+        assert sorted(row_key(r) for r in back) == sorted(row_key(r) for r in rows)
         assert {r.value for r in back} == {0.125, 2.5}
 
     def test_round_trip_of_rows_that_vary_every_field(self, tmp_path):
@@ -262,12 +263,12 @@ class TestResults:
         rows = [sample_row()] + [sample_row(**{name: value}) for name, value in varied.items()]
         rows.append(sample_row(**varied))
         path = tmp_path / "r.csv"
-        write_results(rows, path)
-        assert read_results(path) == sorted(rows, key=ResultsRow.sort_key)
+        write_rows(rows, path)
+        assert read_results(path) == sorted(rows, key=row_key)
 
     def test_header_is_the_row_fields(self, tmp_path):
         path = tmp_path / "r.csv"
-        write_results([sample_row()], path)
+        write_results(ResultsGrid([], []), path)
         header = path.read_text().split("\n")[0]
         assert header == ",".join(f.name for f in dataclasses.fields(ResultsRow))
 
@@ -277,7 +278,7 @@ class TestResults:
 
     def test_non_finite_value_in_file_names_line(self, tmp_path):
         path = tmp_path / "r.csv"
-        write_results([sample_row(value=0.125), sample_row(metric="eel", value=2.5)], path)
+        write_rows([sample_row(value=0.125), sample_row(metric="eel", value=2.5)], path)
         path.write_text(path.read_text().replace(",2.5\n", ",inf\n"))
         with pytest.raises(ParseError) as info:
             read_results(path)

@@ -157,6 +157,25 @@ class TestGreedyRerank:
         with pytest.raises(MetricError, match="re-rank target sums to nan"):
             rerank_ranking(ranking, table, RerankSpec(target=np.array([np.nan, 0.5, 0.5])))
 
+    def test_negative_target_rejected(self):
+        """A target summing to 1 with a negative entry is no distribution;
+        a ``fixed`` population target rejects the same vector."""
+        table = make_table({"d0": "g0", "d1": "g1", "d2": "g0", "d3": "g1"})
+        ranking = Ranking("q1", 0, ("d0", "d1", "d2", "d3"), scores=(4.0, 3.0, 2.0, 1.0))
+        target = np.array([1.5, -0.5, 0.0])
+        with pytest.raises(MetricError, match="must be non-negative and finite"):
+            population_estimator(PopulationEstimator("fixed", fixed=target), table)
+        with pytest.raises(MetricError, match="^re-rank target must be non-negative and finite$"):
+            rerank_ranking(ranking, table, RerankSpec(target=target))
+
+    @pytest.mark.parametrize("target", [[np.inf, -np.inf, 1.0], [1e308, 1e308, 0.0]])
+    def test_overflowing_target_sum_rejected_without_a_warning(self, target):
+        """Tier-1 turns warnings into errors: the sum's own must not escape."""
+        table = make_table({"A": "g0", "B": "g1"})
+        ranking = Ranking("q1", 0, ("A", "B"), scores=(2.0, 1.0))
+        with pytest.raises(MetricError, match="re-rank target sums to (nan|inf)"):
+            rerank_ranking(ranking, table, RerankSpec(target=np.array(target)))
+
     def test_empty_ranking_rejected(self):
         table = make_table({"A": "g0"})
         with pytest.raises(MetricError):

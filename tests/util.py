@@ -177,13 +177,19 @@ def sweep_rows(systems, values, plans, specs, metrics, per_request):
     return rows
 
 
+def row_key(row):
+    """Every field of a results row but the value, in declaration order:
+    the order of the rows in a results CSV."""
+    return dataclasses.astuple(row)[:-1]
+
+
 def write_rows(rows, path):
     """Results rows as CSV, one ``csv`` row each after sorting them all by
-    every field but the value; float fields at 12 significant digits.
-    Independent oracle for ``write_results``."""
+    :func:`row_key`; float fields at 12 significant digits. Writes any list
+    of rows, and is the independent oracle for ``write_results``."""
     hints = typing.get_type_hints(ResultsRow)
     names = [f.name for f in dataclasses.fields(ResultsRow)]
-    ordered = sorted(rows, key=lambda row: dataclasses.astuple(row)[:-1])
+    ordered = sorted(rows, key=row_key)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(names)
